@@ -5,7 +5,6 @@ from .controllability import (
     ReducedControllabilityMatrix,
     VerdictKind,
     closure_basis,
-    lemma1_check,
     reduced_controllability,
     verdict,
 )
@@ -44,7 +43,6 @@ from .tensor import (
     ControlMatrix,
     InputSchedule,
     Trajectory,
-    dense_tensor,
     drift,
     simulate,
     ttv_multi,

@@ -150,7 +150,7 @@ def cmd_mcn(args) -> int:
         "n": graph.n,
     }
     if args.report:
-        payload = _report("mcn", args, graph, payload, {"compute_s": elapsed})
+        payload = _report("mcn", args, tol, graph, payload, {"compute_s": elapsed})
     _emit_json(payload)
     return 0
 
@@ -171,7 +171,7 @@ def cmd_check(args) -> int:
         "controls": list(controls.nodes),
     }
     if args.report:
-        payload = _report("check", args, graph, payload, {"compute_s": elapsed})
+        payload = _report("check", args, tol, graph, payload, {"compute_s": elapsed})
     _emit_json(payload)
     return 0
 
@@ -181,6 +181,9 @@ def cmd_ingest(args) -> int:
         series = load_time_series_csv(args.csv, has_header=args.has_header)
     except OSError as exc:
         raise _FileError(f"{args.csv}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        # load errors already name the file and, where there is one, the line
+        raise _FileError(str(exc)) from None
     graph = build_hypergraph(series, args.order, args.threshold)
     _emit_json(hg.to_json_dict(graph))
     return 0
@@ -207,19 +210,26 @@ def cmd_simulate(args) -> int:
 def _load_schedule(path: str, m: int) -> InputSchedule:
     try:
         with open(path) as fh:
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            rows = [
+                (lineno, line.strip().split(","))
+                for lineno, line in enumerate(fh, start=1)
+                if line.strip()
+            ]
     except OSError as exc:
         raise _FileError(f"{path}: {exc.strerror or exc}") from None
     times = []
     values = []
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in rows:
         if len(row) != m + 1:
             raise _FileError(
                 f"{path}: line {lineno}: {len(row)} fields, expected {m + 1} "
                 "(time plus one column per control channel)"
             )
-        times.append(float(row[0]))
-        values.append([float(tok) for tok in row[1:]])
+        try:
+            times.append(float(row[0]))
+            values.append([float(tok) for tok in row[1:]])
+        except ValueError as exc:
+            raise _FileError(f"{path}: line {lineno}: {exc}") from None
     return InputSchedule(tuple(times), np.array(values))
 
 
@@ -278,9 +288,10 @@ def run_benchmark(family, k, n_values, seeds, density=0.5, tol=None, guard=20):
     return rows
 
 
-def _report(command, args, graph, result, timings) -> dict:
-    parameters = {}
-    for key in ("method", "tol", "tie_break", "seed", "guard", "threads", "controls"):
+def _report(command, args, tol, graph, result, timings) -> dict:
+    # the resolved tolerance, so a value taken from HYPERCTRL_TOL is recorded
+    parameters = {"tol": tol}
+    for key in ("method", "tie_break", "seed", "guard", "threads", "controls"):
         if hasattr(args, key):
             parameters[key] = getattr(args, key)
     return {

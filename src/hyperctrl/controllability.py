@@ -1,4 +1,4 @@
-"""Reduced controllability matrix, rank verdicts, and a column-space lemma check.
+"""Reduced controllability matrix and rank verdicts.
 
 The controllability subspace is grown iteratively: starting from the span of
 the control columns, each round appends the tensor applied to every multiset
@@ -30,15 +30,13 @@ class ReducedControllabilityMatrix:
 
     ``rank`` equals the column count of ``basis``; ``iterations`` counts the
     expansion rounds executed; ``tolerance`` is the singular-value cutoff
-    applied in the final orthonormalization. ``candidates`` holds the raw
-    expansion columns per round when requested.
+    applied in the final orthonormalization.
     """
 
     basis: np.ndarray
     rank: int
     iterations: int
     tolerance: float
-    candidates: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,6 @@ def closure_basis(
     tensor: AdjacencyTensor,
     start: np.ndarray,
     tol: float | None = None,
-    keep_candidates: bool = False,
 ) -> ReducedControllabilityMatrix:
     """Grow the span of ``start`` until it is closed under the tensor map.
 
@@ -98,12 +95,9 @@ def closure_basis(
         raise ValueError(f"start matrix has shape {start.shape}, expected ({n}, m)")
     basis, cutoff = _orthonormalize(start, tol)
     rounds = 0
-    logged: list[np.ndarray] = []
     while rounds < n and 0 < basis.shape[1] < n:
         new_cols = _expansion_columns(tensor, basis)
         rounds += 1
-        if keep_candidates:
-            logged.append(new_cols)
         expanded, cutoff = _orthonormalize(np.hstack([basis, new_cols]), tol)
         stagnant = expanded.shape[1] == basis.shape[1]
         basis = expanded
@@ -114,7 +108,6 @@ def closure_basis(
         rank=basis.shape[1],
         iterations=rounds,
         tolerance=cutoff,
-        candidates=tuple(logged) if keep_candidates else None,
     )
 
 
@@ -122,7 +115,6 @@ def reduced_controllability(
     tensor: AdjacencyTensor,
     controls: ControlMatrix | np.ndarray,
     tol: float | None = None,
-    keep_candidates: bool = False,
 ) -> ReducedControllabilityMatrix:
     """Reduced controllability matrix for control columns attached at nodes.
 
@@ -133,7 +125,7 @@ def reduced_controllability(
         start = controls.matrix(tensor.dim)
     else:
         start = np.asarray(controls, dtype=np.float64)
-    return closure_basis(tensor, start, tol=tol, keep_candidates=keep_candidates)
+    return closure_basis(tensor, start, tol=tol)
 
 
 def verdict(
@@ -152,38 +144,3 @@ def verdict(
     return ControllabilityVerdict(
         rank=reduced.rank, full=reduced.rank == tensor.dim, kind=kind
     )
-
-
-def lemma1_check(
-    tensor: AdjacencyTensor, X: np.ndarray, tol: float | None = None
-) -> bool:
-    """Whether replacing X by its left singular vectors preserves the
-    expansion column space.
-
-    Compares the span of the tensor applied to multisets of X's columns with
-    the span obtained from the orthonormalized X, by checking that each rank
-    matches the rank of the concatenation. Test utility.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != tensor.dim:
-        raise ValueError(f"X has shape {X.shape}, expected ({tensor.dim}, m)")
-    u, _ = _orthonormalize(X, tol)
-    p = _expansion_columns(tensor, X)
-    q = _expansion_columns(tensor, u)
-    both = np.hstack([p, q])
-    if both.shape[1] == 0:
-        return True
-    sv = np.linalg.svd(both, compute_uv=False)
-    if tol is not None:
-        cutoff = tol
-    else:
-        cutoff = max(both.shape) * np.finfo(np.float64).eps * (sv[0] if sv.size else 0.0)
-
-    def rank_at(mat: np.ndarray) -> int:
-        if mat.shape[1] == 0:
-            return 0
-        vals = np.linalg.svd(mat, compute_uv=False)
-        return int(np.sum(vals > cutoff))
-
-    r_both = int(np.sum(sv > cutoff))
-    return rank_at(p) == r_both and rank_at(q) == r_both

@@ -334,11 +334,17 @@ def from_json_dict(doc: dict) -> Hypergraph:
     unknown = set(doc) - {"n", "edges", "weights"}
     if unknown:
         raise ValueError(f"hypergraph document has unknown keys {sorted(unknown)}")
-    return Hypergraph(
-        n=int(doc["n"]),
-        edges=tuple(tuple(e) for e in doc["edges"]),
-        weights=tuple(doc["weights"]) if doc.get("weights") is not None else None,
-    )
+    fields = {}
+    for key, convert in (
+        ("n", int),
+        ("edges", lambda v: tuple(tuple(int(j) for j in e) for e in v)),
+        ("weights", lambda v: None if v is None else tuple(float(w) for w in v)),
+    ):
+        try:
+            fields[key] = convert(doc.get(key))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"hypergraph key {key!r} is malformed: {exc}") from None
+    return Hypergraph(**fields)
 
 
 def dumps(graph: Hypergraph) -> str:

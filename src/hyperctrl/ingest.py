@@ -122,12 +122,13 @@ def load_time_series_csv(path, has_header: bool = False) -> TimeSeriesMatrix:
     the channel labels, one per subsequent row.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
     labels = None
     if has_header:
-        labels = tuple(cell.strip() for cell in rows[0])
+        labels = tuple(cell.strip() for cell in rows[0][1])
         rows = rows[1:]
         if not rows:
             raise ValueError(f"{path}: header but no data rows")
@@ -136,9 +137,9 @@ def load_time_series_csv(path, has_header: bool = False) -> TimeSeriesMatrix:
                 f"{path}: header lists {len(labels)} labels but the file has "
                 f"{len(rows)} channel rows"
             )
-    width = len(rows[0])
+    width = len(rows[0][1])
     data = []
-    for lineno, row in enumerate(rows, start=2 if has_header else 1):
+    for lineno, row in rows:
         if len(row) != width:
             raise ValueError(
                 f"{path}: line {lineno}: {len(row)} fields, expected {width}"
@@ -147,4 +148,7 @@ def load_time_series_csv(path, has_header: bool = False) -> TimeSeriesMatrix:
             data.append([float(cell) for cell in row])
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return TimeSeriesMatrix.from_rows(data, labels=labels)
+    try:
+        return TimeSeriesMatrix.from_rows(data, labels=labels)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

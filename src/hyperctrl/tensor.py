@@ -6,9 +6,9 @@ pattern carries that per-tuple coefficient, and every other entry is zero.
 Supersymmetry therefore holds by construction. Tensor-vector products are
 evaluated matrix-free by walking the stored patterns and enumerating, for
 each pivot index, the distinct arrangements of the remaining pattern
-elements; the arrangement tables are precomputed once per tensor and the
-contraction over them runs in a fused kernel (JIT-compiled when numba is
-available, plain numpy otherwise).
+elements; the arrangement tables are precomputed once per tensor. One
+numpy kernel contracts them against batches of basis columns, chunked so
+that the products held at once stay bounded.
 """
 from __future__ import annotations
 
@@ -18,17 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency in practice
-    _HAVE_NUMBA = False
-
-# Dense materialization is a testing aid only; refuse anything that would
-# allocate more than this many entries.
-MAX_DENSE_ENTRIES = 10**6
 
 
 class BlowupError(RuntimeError):
@@ -49,119 +38,25 @@ class BlowupError(RuntimeError):
 
 @dataclass
 class _Kernel:
-    """Precomputed arrangement tables for the contraction kernels.
+    """Precomputed arrangement tables for the contraction kernel.
 
-    One row per (pattern, pivot, arrangement): ``rows`` holds the output
-    index, ``slots[l]`` the node feeding slot l, ``coefs`` the per-tuple
-    coefficient.
+    One row per (pattern, pivot, arrangement), sorted by output index:
+    ``slots[l]`` holds the node feeding slot l and ``coefs`` the per-tuple
+    coefficient. The rows sharing an output index form one segment;
+    ``starts`` gives each segment's first row and ``targets`` its output
+    index.
     """
 
-    rows: np.ndarray   # (R,) 0-based output row, ascending
-    slots: np.ndarray  # (k-1, R) 0-based node index per slot
-    coefs: np.ndarray  # (R,)
+    starts: np.ndarray   # (S,) first kernel row of each segment
+    targets: np.ndarray  # (S,) 0-based output row of each segment, ascending
+    slots: np.ndarray    # (k-1, R) 0-based node index per slot
+    coefs: np.ndarray    # (R,)
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _fused_1(basis, ms, slots, coefs, rows, out):
-        for r in range(coefs.shape[0]):
-            j = rows[r]
-            w = coefs[r]
-            y0 = slots[0, r]
-            for c in range(ms.shape[1]):
-                out[j, c] += w * basis[y0, ms[0, c]]
-
-    @numba.njit(cache=True, nogil=True)
-    def _fused_2(basis, ms, slots, coefs, rows, out):
-        for r in range(coefs.shape[0]):
-            j = rows[r]
-            w = coefs[r]
-            y0 = slots[0, r]
-            y1 = slots[1, r]
-            for c in range(ms.shape[1]):
-                out[j, c] += w * basis[y0, ms[0, c]] * basis[y1, ms[1, c]]
-
-    @numba.njit(cache=True, nogil=True)
-    def _fused_3(basis, ms, slots, coefs, rows, out):
-        for r in range(coefs.shape[0]):
-            j = rows[r]
-            w = coefs[r]
-            y0 = slots[0, r]
-            y1 = slots[1, r]
-            y2 = slots[2, r]
-            for c in range(ms.shape[1]):
-                out[j, c] += (
-                    w
-                    * basis[y0, ms[0, c]]
-                    * basis[y1, ms[1, c]]
-                    * basis[y2, ms[2, c]]
-                )
-
-    @numba.njit(cache=True, nogil=True)
-    def _fused_4(basis, ms, slots, coefs, rows, out):
-        for r in range(coefs.shape[0]):
-            j = rows[r]
-            w = coefs[r]
-            y0 = slots[0, r]
-            y1 = slots[1, r]
-            y2 = slots[2, r]
-            y3 = slots[3, r]
-            for c in range(ms.shape[1]):
-                out[j, c] += (
-                    w
-                    * basis[y0, ms[0, c]]
-                    * basis[y1, ms[1, c]]
-                    * basis[y2, ms[2, c]]
-                    * basis[y3, ms[3, c]]
-                )
-
-    @numba.njit(cache=True, nogil=True)
-    def _fused_5(basis, ms, slots, coefs, rows, out):
-        for r in range(coefs.shape[0]):
-            j = rows[r]
-            w = coefs[r]
-            y0 = slots[0, r]
-            y1 = slots[1, r]
-            y2 = slots[2, r]
-            y3 = slots[3, r]
-            y4 = slots[4, r]
-            for c in range(ms.shape[1]):
-                out[j, c] += (
-                    w
-                    * basis[y0, ms[0, c]]
-                    * basis[y1, ms[1, c]]
-                    * basis[y2, ms[2, c]]
-                    * basis[y3, ms[3, c]]
-                    * basis[y4, ms[4, c]]
-                )
-
-    @numba.njit(cache=True, nogil=True)
-    def _fused_any(basis, ms, slots, coefs, rows, out):
-        L = slots.shape[0]
-        for r in range(coefs.shape[0]):
-            j = rows[r]
-            w = coefs[r]
-            for c in range(ms.shape[1]):
-                p = w
-                for l in range(L):
-                    p *= basis[slots[l, r], ms[l, c]]
-                out[j, c] += p
-
-    _FUSED = {1: _fused_1, 2: _fused_2, 3: _fused_3, 4: _fused_4, 5: _fused_5}
-
-
-def _apply_multisets_ref(
-    kernel: _Kernel, basis: np.ndarray, ms: np.ndarray, out: np.ndarray
-):
-    """Pure-numpy reference for the fused kernels (also the fallback)."""
-    L = kernel.slots.shape[0]
-    prod = basis[:, ms[0]][kernel.slots[0], :]
-    for l in range(1, L):
-        prod *= basis[:, ms[l]][kernel.slots[l], :]
-    prod *= kernel.coefs[:, None]
-    starts = np.flatnonzero(np.r_[True, kernel.rows[1:] != kernel.rows[:-1]])
-    out[kernel.rows[starts]] += np.add.reduceat(prod, starts, axis=0)
+# Cap on the (kernel rows x columns) products held at once: the multiset
+# columns are contracted in chunks of at most this many products, or of a
+# single column when one column alone needs more.
+_CHUNK_ENTRIES = 1 << 22
 
 
 def _apply_multisets(
@@ -170,7 +65,8 @@ def _apply_multisets(
     """Contract the tensor against columns of ``basis`` selected by ``ms``.
 
     ``ms`` has shape (k-1, q); result column c is the tensor applied to the
-    basis columns ms[0, c], ..., ms[k-2, c].
+    basis columns ms[0, c], ..., ms[k-2, c]. Chunking the columns bounds the
+    working set without changing any column's arithmetic.
     """
     n = tensor.dim
     q = ms.shape[1]
@@ -178,14 +74,17 @@ def _apply_multisets(
     kern = tensor.kernel()
     if kern.coefs.size == 0 or q == 0:
         return out
-    basis = np.ascontiguousarray(basis, dtype=np.float64)
-    ms = np.ascontiguousarray(ms, dtype=np.intp)
-    if _HAVE_NUMBA:
-        L = kern.slots.shape[0]
-        fused = _FUSED.get(L, _fused_any)
-        fused(basis, ms, kern.slots, kern.coefs, kern.rows, out)
-    else:
-        _apply_multisets_ref(kern, basis, ms, out)
+    basis = np.asarray(basis, dtype=np.float64)
+    ms = np.asarray(ms, dtype=np.intp)
+    width = max(1, _CHUNK_ENTRIES // kern.coefs.size)
+    for lo in range(0, q, width):
+        cols = ms[:, lo : lo + width]
+        prod = basis[:, cols[0]][kern.slots[0], :]
+        for slots, col in zip(kern.slots[1:], cols[1:]):
+            prod *= basis[:, col][slots, :]
+        prod *= kern.coefs[:, None]
+        sums = np.add.reduceat(prod, kern.starts, axis=0)
+        out[kern.targets, lo : lo + width] += sums
     return out
 
 
@@ -252,8 +151,11 @@ def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
                     slot_idx[slot].append(node - 1)
     row_arr = np.asarray(rows, dtype=np.intp)
     order = np.argsort(row_arr, kind="stable")
+    sorted_rows = row_arr[order]
+    starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
     return _Kernel(
-        rows=np.ascontiguousarray(row_arr[order]),
+        starts=starts,
+        targets=sorted_rows[starts],
         slots=np.ascontiguousarray(
             np.asarray(slot_idx, dtype=np.intp).reshape(k - 1, -1)[:, order]
         ),
@@ -321,21 +223,6 @@ def drift(tensor: AdjacencyTensor, x: np.ndarray) -> np.ndarray:
     basis = x.reshape(-1, 1)
     ms = np.zeros((tensor.order - 1, 1), dtype=np.intp)
     return _apply_multisets(tensor, basis, ms)[:, 0]
-
-
-def dense_tensor(tensor: AdjacencyTensor) -> np.ndarray:
-    """Materialize the full n^k array. Testing aid, not a production path."""
-    n, k = tensor.dim, tensor.order
-    if n**k > MAX_DENSE_ENTRIES:
-        raise ValueError(
-            f"dense materialization of {n}^{k} entries exceeds the "
-            f"{MAX_DENSE_ENTRIES} guard"
-        )
-    dense = np.zeros((n,) * k)
-    for pattern, coef in tensor.entries.items():
-        for tup in set(itertools.permutations(pattern)):
-            dense[tuple(j - 1 for j in tup)] = coef
-    return dense
 
 
 @dataclass(frozen=True)

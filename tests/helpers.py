@@ -1,8 +1,10 @@
 """Independent oracles and small builders shared across the test modules.
 
-Everything here recomputes results from first principles (dense arrays,
-literal definitions) so the sparse production paths are checked against
-genuinely independent implementations.
+The oracles recompute results from first principles (dense arrays, literal
+definitions) so the sparse production paths are checked against genuinely
+independent implementations. ``lemma1_check`` is the exception: it tests
+the column-space lemma the closure relies on through the closure's own
+expansion step.
 """
 from __future__ import annotations
 
@@ -10,8 +12,27 @@ import itertools
 
 import numpy as np
 
-from hyperctrl import AdjacencyTensor, Hypergraph, dense_tensor
+from hyperctrl import AdjacencyTensor, Hypergraph
+from hyperctrl.controllability import _expansion_columns, _orthonormalize
 from hyperctrl.hypergraph import _splitmix64
+
+# Dense materialization allocates n^k entries; refuse anything above this.
+MAX_DENSE_ENTRIES = 10**6
+
+
+def dense_tensor(tensor: AdjacencyTensor) -> np.ndarray:
+    """Materialize the full n^k array."""
+    n, k = tensor.dim, tensor.order
+    if n**k > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"dense materialization of {n}^{k} entries exceeds the "
+            f"{MAX_DENSE_ENTRIES} guard"
+        )
+    dense = np.zeros((n,) * k)
+    for pattern, coef in tensor.entries.items():
+        for tup in set(itertools.permutations(pattern)):
+            dense[tuple(j - 1 for j in tup)] = coef
+    return dense
 
 
 def dense_ttv(tensor: AdjacencyTensor, vectors) -> np.ndarray:
@@ -61,6 +82,41 @@ def kalman_rank(adjacency: np.ndarray, control_nodes, tol=1e-9) -> int:
     for _ in range(n - 1):
         blocks.append(adjacency @ blocks[-1])
     return int(np.linalg.matrix_rank(np.hstack(blocks), tol=tol))
+
+
+def lemma1_check(
+    tensor: AdjacencyTensor, X: np.ndarray, tol: float | None = None
+) -> bool:
+    """Whether replacing X by its left singular vectors preserves the
+    expansion column space.
+
+    Compares the span of the tensor applied to multisets of X's columns with
+    the span obtained from the orthonormalized X, by checking that each rank
+    matches the rank of the concatenation.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != tensor.dim:
+        raise ValueError(f"X has shape {X.shape}, expected ({tensor.dim}, m)")
+    u, _ = _orthonormalize(X, tol)
+    p = _expansion_columns(tensor, X)
+    q = _expansion_columns(tensor, u)
+    both = np.hstack([p, q])
+    if both.shape[1] == 0:
+        return True
+    sv = np.linalg.svd(both, compute_uv=False)
+    if tol is not None:
+        cutoff = tol
+    else:
+        cutoff = max(both.shape) * np.finfo(np.float64).eps * (sv[0] if sv.size else 0.0)
+
+    def rank_at(mat: np.ndarray) -> int:
+        if mat.shape[1] == 0:
+            return 0
+        vals = np.linalg.svd(mat, compute_uv=False)
+        return int(np.sum(vals > cutoff))
+
+    r_both = int(np.sum(sv > cutoff))
+    return rank_at(p) == r_both and rank_at(q) == r_both
 
 
 def seeded_floats(seed: int, count: int, lo=-1.0, hi=1.0) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hyperctrl as hc
 from hyperctrl.hypergraph import dumps, from_json_dict, loads, to_json_dict
 
-from helpers import random_mixed_hypergraph
+from helpers import dense_tensor, random_mixed_hypergraph
 
 
 class TestHypergraphModel:
@@ -153,17 +153,17 @@ class TestRandomUniform:
 class TestAdjacencyUniform:
     def test_order3_entries(self):
         A = hc.adjacency_uniform(hc.Hypergraph(3, ((1, 2, 3),)), 3)
-        dense = hc.dense_tensor(A)
+        dense = dense_tensor(A)
         assert np.count_nonzero(dense) == 6
         assert set(np.round(dense[dense != 0], 12)) == {0.5}
 
     def test_order2_is_adjacency_matrix(self):
         A = hc.adjacency_uniform(hc.Hypergraph(2, ((1, 2),)), 2)
-        assert np.array_equal(hc.dense_tensor(A), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.array_equal(dense_tensor(A), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_order4_tuple_count(self):
         A = hc.adjacency_uniform(hc.Hypergraph(4, ((1, 2, 3, 4),)), 4)
-        dense = hc.dense_tensor(A)
+        dense = dense_tensor(A)
         assert np.count_nonzero(dense) == 24
         assert dense[0, 1, 2, 3] == pytest.approx(1.0 / 6.0)
 
@@ -184,7 +184,7 @@ class TestAdjacencyGeneral:
         A = hc.adjacency_general(g)
         assert A.order == 3
         # cardinality-2 edge spreads 1/3 over its six covering tuples
-        dense = hc.dense_tensor(A)
+        dense = dense_tensor(A)
         covering = [
             idx
             for idx in itertools.product(range(4), repeat=3)

@@ -7,7 +7,7 @@ import pytest
 import hyperctrl as hc
 from hyperctrl.mcn import ExactSearchGuardError, mcn_predicted
 
-from helpers import random_hypergraph
+from helpers import random_hypergraph, random_mixed_hypergraph
 
 
 def auto(graph):
@@ -98,6 +98,17 @@ class TestGreedy:
         assert deg.witness[0] == 4
         again = hc.mcn_greedy(A, tie_break="random", seed=11)
         assert rnd.witness == again.witness
+
+    @pytest.mark.parametrize("seed, witness", [(22, (4,)), (35, (1,)), (38, (3,))])
+    def test_degree_ties_pick_lowest_index(self, seed, witness):
+        # degrees are exact integers, so equal-degree nodes tie exactly and
+        # the lowest index among the highest degree wins
+        A = auto(random_mixed_hypergraph(seed, 7, 4))
+        d = hc.degrees(A)
+        assert np.array_equal(d, np.round(d))
+        top = tuple(np.flatnonzero(d == d.max()) + 1)
+        assert len(top) > 1
+        assert hc.mcn_greedy(A).witness == witness == top[:1]
 
     def test_random_mode_requires_seed(self):
         A = auto(hc.hyperchain(6, 3))

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperctrl as hc
-from hyperctrl.tensor import _apply_multisets, _apply_multisets_ref
+from hyperctrl import tensor as tensor_mod
+from hyperctrl.tensor import _apply_multisets
 
-from helpers import dense_ttv, random_hypergraph, seeded_floats
+from helpers import dense_tensor, dense_ttv, random_hypergraph, seeded_floats
 
 
 def e(n, j):
@@ -46,7 +47,7 @@ class TestAdjacencyTensor:
     def test_dense_guard(self):
         A = hc.AdjacencyTensor(order=6, dim=12, entries={})
         with pytest.raises(ValueError, match="guard"):
-            hc.dense_tensor(A)
+            dense_tensor(A)
 
 
 class TestTtv:
@@ -99,7 +100,7 @@ class TestTtv:
                 dense_ttv(A, vs), abs=1e-13
             )
 
-    def test_fused_kernel_matches_numpy_reference(self):
+    def test_chunked_contraction_is_bit_identical(self, monkeypatch):
         g = hc.Hypergraph(5, ((1, 2), (2, 3, 4), (1, 3, 4, 5)))
         A = hc.adjacency_general(g)
         basis = np.column_stack([seeded_floats(i, 5) for i in range(4)])
@@ -107,10 +108,16 @@ class TestTtv:
             list(itertools.combinations_with_replacement(range(4), A.order - 1)),
             dtype=np.intp,
         ).T
-        got = _apply_multisets(A, basis, ms)
-        ref = np.zeros_like(got)
-        _apply_multisets_ref(A.kernel(), basis, np.ascontiguousarray(ms), ref)
-        assert got == pytest.approx(ref, abs=1e-13)
+        whole = _apply_multisets(A, basis, ms)
+        # a few columns per chunk, with a ragged last chunk
+        rows = A.kernel().coefs.size
+        monkeypatch.setattr(tensor_mod, "_CHUNK_ENTRIES", 3 * rows)
+        assert ms.shape[1] % 3 != 0
+        chunked = _apply_multisets(A, basis, ms)
+        assert np.array_equal(chunked, whole)
+        # a cap below one kernel's rows still makes progress, one column at a time
+        monkeypatch.setattr(tensor_mod, "_CHUNK_ENTRIES", 1)
+        assert np.array_equal(_apply_multisets(A, basis, ms), whole)
 
     def test_cols_variant_matches_vector_calls(self):
         g = random_hypergraph(3, 5, 3, density=0.6)
