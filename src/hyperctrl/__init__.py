@@ -11,8 +11,6 @@ from .controllability import (
 from .hypergraph import (
     Hypergraph,
     adjacency_auto,
-    adjacency_general,
-    adjacency_uniform,
     complete,
     degrees,
     hyperchain,
@@ -46,7 +44,6 @@ from .tensor import (
     drift,
     simulate,
     ttv_multi,
-    ttv_multi_cols,
 )
 
 __version__ = "0.1.0"

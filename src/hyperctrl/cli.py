@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -30,14 +31,19 @@ _FAMILIES = ("chain", "ring", "star", "complete", "r-chain", "r-ring", "r-star",
 
 def _resolve_tol(args) -> float | None:
     if getattr(args, "tol", None) is not None:
-        return args.tol
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
+        tol, source = args.tol, "--tol"
+    else:
+        raw = os.environ.get(TOL_ENV_VAR)
+        if raw is None:
+            return None
+        try:
+            tol, source = float(raw), TOL_ENV_VAR
+        except ValueError:
+            raise ValueError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
+    # a negative cutoff keeps every direction and a nan or inf one drops them all
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{source} must be a finite nonnegative number, got {tol!r}")
+    return tol
 
 
 def _emit_json(payload: dict):

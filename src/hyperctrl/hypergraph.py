@@ -1,17 +1,18 @@
 """Hypergraph data model, adjacency tensor construction, and generators.
 
-Nodes are 1-based everywhere. Edges are sets of at least two distinct nodes;
-uniform hypergraphs have all edges of one cardinality and map to an order-k
-adjacency tensor whose nonzero tuples carry 1/(k-1)! per edge (scaled by the
-edge weight when weights are present). Mixed-cardinality hypergraphs map to
-an order-k tensor (k the maximum cardinality) whose per-edge coefficients
-are chosen so node degrees are preserved.
+Nodes are 1-based everywhere. Edges are sets of at least two distinct nodes.
+A hypergraph maps to one order-k adjacency tensor, k the largest edge
+cardinality: an edge of cardinality s fills every length-k index multiset
+that uses each of its nodes, with a per-tuple coefficient chosen so node
+degrees are preserved. On uniform input that is weight/(k-1)! on the tuples
+of each edge.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +67,6 @@ class Hypergraph:
     def edge_weight(self, index: int) -> float:
         return 1.0 if self.weights is None else self.weights[index]
 
-    def is_uniform(self, k: int) -> bool:
-        return all(len(e) == k for e in self.edges)
-
-    def uniform_order(self) -> int | None:
-        """Common edge cardinality, or None if edges are mixed or absent."""
-        sizes = {len(e) for e in self.edges}
-        return sizes.pop() if len(sizes) == 1 else None
-
     def membership_counts(self) -> np.ndarray:
         """Number of edges containing each node (weighted when applicable)."""
         counts = np.zeros(self.n)
@@ -86,25 +79,6 @@ class Hypergraph:
 # ---------------------------------------------------------------------------
 # Adjacency tensors
 # ---------------------------------------------------------------------------
-
-def adjacency_uniform(graph: Hypergraph, k: int) -> AdjacencyTensor:
-    """Order-k adjacency tensor of a k-uniform hypergraph.
-
-    Every tuple realizing an edge carries weight/(k-1)!. Raises if some edge
-    is not of cardinality k.
-    """
-    if k < 2:
-        raise ValueError(f"order must be >= 2, got {k}")
-    entries: dict = {}
-    coef = 1.0 / math.factorial(k - 1)
-    for idx, edge in enumerate(graph.edges):
-        if len(edge) != k:
-            raise ValueError(
-                f"edge {idx}: {edge} has cardinality {len(edge)}, expected {k}"
-            )
-        entries[edge] = graph.edge_weight(idx) * coef
-    return AdjacencyTensor(order=k, dim=graph.n, entries=entries)
-
 
 def _surjective_tuple_count(k: int, s: int) -> int:
     """Number of length-k tuples over an s-element set hitting every element."""
@@ -120,43 +94,41 @@ def _compositions(total: int, parts: int):
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def adjacency_general(graph: Hypergraph) -> AdjacencyTensor:
-    """Adjacency tensor of a (possibly non-uniform) hypergraph.
+def adjacency_auto(graph: Hypergraph) -> AdjacencyTensor:
+    """Adjacency tensor of a uniform or mixed-cardinality hypergraph.
 
     The order k is the maximum edge cardinality. An edge of cardinality s
     populates every length-k index multiset that uses each of its nodes at
-    least once, with per-tuple coefficient s/alpha where alpha counts the
-    surjective tuples; this preserves node degrees. For uniform input the
-    result equals :func:`adjacency_uniform`.
+    least once, with per-tuple coefficient weight * (s / alpha) where alpha
+    counts the surjective tuples; this preserves node degrees. For s = k the
+    share s / alpha rounds to exactly 1/(k-1)!. An edgeless hypergraph maps
+    to an empty order-2 tensor; with no edges every rank and MCN question is
+    order-independent.
     """
     if not graph.edges:
-        raise ValueError("hypergraph has no edges; the tensor order is undefined")
+        return AdjacencyTensor(order=2, dim=graph.n, entries={})
     k = max(len(e) for e in graph.edges)
+    # per cardinality: the shared coefficient and, per composition, the
+    # edge positions that spell out its index multiset
+    layouts: dict = {}
     entries: dict = {}
     for idx, edge in enumerate(graph.edges):
         s = len(edge)
-        alpha = _surjective_tuple_count(k, s)
-        coef = graph.edge_weight(idx) * s / alpha
-        for comp in _compositions(k, s):
-            pattern = tuple(
-                node for node, mult in zip(edge, comp) for _ in range(mult)
+        if s not in layouts:
+            layouts[s] = (
+                s / _surjective_tuple_count(k, s),
+                [
+                    operator.itemgetter(
+                        *(pos for pos, mult in enumerate(comp) for _ in range(mult))
+                    )
+                    for comp in _compositions(k, s)
+                ],
             )
-            entries[pattern] = coef
+        share, spellings = layouts[s]
+        coef = graph.edge_weight(idx) * share
+        for spell in spellings:
+            entries[spell(edge)] = coef
     return AdjacencyTensor(order=k, dim=graph.n, entries=entries)
-
-
-def adjacency_auto(graph: Hypergraph) -> AdjacencyTensor:
-    """Uniform tensor when edges share one cardinality, general otherwise.
-
-    An edgeless hypergraph maps to an empty order-2 tensor; with no edges
-    every rank and MCN question is order-independent.
-    """
-    k = graph.uniform_order()
-    if k is not None:
-        return adjacency_uniform(graph, k)
-    if not graph.edges:
-        return AdjacencyTensor(order=2, dim=graph.n, entries={})
-    return adjacency_general(graph)
 
 
 def degrees(tensor: AdjacencyTensor) -> np.ndarray:
@@ -325,6 +297,20 @@ def to_json_dict(graph: Hypergraph) -> dict:
     return doc
 
 
+# JSON values are taken as they are, never rounded or parsed from text; bool
+# is refused although Python treats it as an int.
+def _json_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _json_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def from_json_dict(doc: dict) -> Hypergraph:
     if not isinstance(doc, dict):
         raise ValueError("hypergraph document must be a JSON object")
@@ -336,13 +322,13 @@ def from_json_dict(doc: dict) -> Hypergraph:
         raise ValueError(f"hypergraph document has unknown keys {sorted(unknown)}")
     fields = {}
     for key, convert in (
-        ("n", int),
-        ("edges", lambda v: tuple(tuple(int(j) for j in e) for e in v)),
-        ("weights", lambda v: None if v is None else tuple(float(w) for w in v)),
+        ("n", _json_int),
+        ("edges", lambda v: tuple(tuple(_json_int(j) for j in e) for e in v)),
+        ("weights", lambda v: None if v is None else tuple(_json_float(w) for w in v)),
     ):
         try:
             fields[key] = convert(doc.get(key))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"hypergraph key {key!r} is malformed: {exc}") from None
     return Hypergraph(**fields)
 

@@ -114,8 +114,9 @@ def mcn_exact(
     Subset sizes are tried in increasing order and, within a size, subsets in
     lexicographic order; the first full-rank subset wins. Subsets that leave
     some connected component uncontrolled are skipped (such a component's
-    coordinates can never enter the span). With ``all_witnesses`` every
-    minimum subset is collected.
+    coordinates can never enter the span). With ``all_witnesses`` the pass
+    over the minimum size runs to its end and collects every full-rank
+    subset.
 
     Raises:
         ExactSearchGuardError: n exceeds ``guard``; use the greedy search.
@@ -132,24 +133,21 @@ def mcn_exact(
     for m in range(1, n + 1):
         if m < n_comps:
             continue
+        found = []
         for subset in itertools.combinations(range(1, n + 1), m):
             if {comp_ids[j - 1] for j in subset} != all_ids:
                 continue
             if _rank_of_nodes(tensor, subset, tol) == n:
-                witnesses = None
-                if all_witnesses:
-                    witnesses = tuple(
-                        cand
-                        for cand in itertools.combinations(range(1, n + 1), m)
-                        if {comp_ids[j - 1] for j in cand} == all_ids
-                        and _rank_of_nodes(tensor, cand, tol) == n
-                    )
-                return MCNResult(
-                    value=m,
-                    witness=subset,
-                    method="exact",
-                    all_witnesses=witnesses,
-                )
+                found.append(subset)
+                if not all_witnesses:
+                    break
+        if found:
+            return MCNResult(
+                value=m,
+                witness=found[0],
+                method="exact",
+                all_witnesses=tuple(found) if all_witnesses else None,
+            )
     return MCNResult(value=None, witness=(), method="exact")
 
 

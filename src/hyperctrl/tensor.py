@@ -163,30 +163,6 @@ def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
     )
 
 
-def ttv_multi_cols(tensor: AdjacencyTensor, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply the tensor to k-1 column stacks at once.
-
-    ``mats`` holds k-1 arrays of shape (n, q); column c of the result is the
-    tensor applied to the c-th column of each stack. Equivalent to q calls
-    of :func:`ttv_multi` with shared arrangement tables.
-    """
-    k, n = tensor.order, tensor.dim
-    if len(mats) != k - 1:
-        raise ValueError(
-            f"expected {k - 1} column stacks for an order-{k} tensor, got {len(mats)}"
-        )
-    mats = [np.asarray(m, dtype=np.float64) for m in mats]
-    q = mats[0].shape[1] if mats[0].ndim == 2 else -1
-    for pos, m in enumerate(mats):
-        if m.ndim != 2 or m.shape != (n, q):
-            raise ValueError(
-                f"column stack at position {pos} has shape {m.shape}, expected ({n}, {q})"
-            )
-    stacked = np.hstack(mats) if mats else np.zeros((n, 0))
-    ms = np.vstack([np.arange(q, dtype=np.intp) + l * q for l in range(k - 1)])
-    return _apply_multisets(tensor, stacked, ms)
-
-
 def ttv_multi(tensor: AdjacencyTensor, vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Contract the tensor with k-1 vectors, returning a length-n vector.
 
@@ -335,10 +311,10 @@ def simulate(
         BlowupError: the state left the finite range; the exception carries
             the last finite sample and its time.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if T < 0:
-        raise ValueError(f"T must be nonnegative, got {T}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and nonnegative, got {T}")
     x = np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (tensor.dim,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({tensor.dim},)")
@@ -363,11 +339,13 @@ def simulate(
     t = 0.0
     while t < T - 1e-12:
         h = min(dt, T - t)
-        k1 = field_at(t, x)
-        k2 = field_at(t + h / 2, x + (h / 2) * k1)
-        k3 = field_at(t + h / 2, x + (h / 2) * k2)
-        k4 = field_at(t + h, x + h * k3)
-        x_next = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        # overflow shows up as a non-finite x_next, reported just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = field_at(t, x)
+            k2 = field_at(t + h / 2, x + (h / 2) * k1)
+            k3 = field_at(t + h / 2, x + (h / 2) * k2)
+            k4 = field_at(t + h, x + h * k3)
+            x_next = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(x_next).all():
             raise BlowupError(t, x)
         t += h

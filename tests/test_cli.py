@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from hyperctrl import cli
+from hyperctrl import cli, hypergraph as hg
 
 
 def write_graph(tmp_path, doc, name="g.json"):
@@ -42,6 +42,16 @@ class TestExitCodes:
             ({"n": 4, "edges": 5}, "edges"),
             ({"n": 4, "edges": [1, 2]}, "edges"),
             ({"n": 4, "edges": [[1, 2]], "weights": 5}, "weights"),
+            # values are not rounded, parsed from text or taken from a bool
+            ({"n": 6.9, "edges": [[1, 2, 3]]}, "n"),
+            ({"n": "6", "edges": [[1, 2, 3]]}, "n"),
+            ({"n": True, "edges": [[1, 2]]}, "n"),
+            ({"n": 6, "edges": [[1.7, 2.2, 3.9]]}, "edges"),
+            ({"n": 6, "edges": [["2", 3]]}, "edges"),
+            ({"n": 6, "edges": [[True, 2]]}, "edges"),
+            ({"n": 6, "edges": [[1, 2]], "weights": ["2"]}, "weights"),
+            ({"n": 6, "edges": [[1, 2]], "weights": [True]}, "weights"),
+            ({"n": 6, "edges": [[1, 2]], "weights": [10**400]}, "weights"),
         ],
     )
     def test_malformed_document_names_key(self, tmp_path, capsys, doc, key):
@@ -136,3 +146,108 @@ class TestReport:
         code, out, _ = run(full + ["--tol", "1e-7"], capsys)
         assert code == 0
         assert json.loads(out)["parameters"]["tol"] == 1e-7
+
+
+STAR63 = {"n": 6, "edges": [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6]]}
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "GRAPH", "--controls", "1"],
+            ["mcn", "GRAPH"],
+            ["bench", "--family", "complete", "--k", "2", "--n-range", "3:3"],
+        ],
+    )
+    @pytest.mark.parametrize("source", ["--tol", cli.TOL_ENV_VAR])
+    def test_negative_or_non_finite_rejected(
+        self, tmp_path, capsys, monkeypatch, argv, value, source
+    ):
+        path = write_graph(tmp_path, STAR63)
+        argv = [path if tok == "GRAPH" else tok for tok in argv]
+        if source == "--tol":
+            argv += ["--tol", value]
+        else:
+            monkeypatch.setenv(cli.TOL_ENV_VAR, value)
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {source} must be a finite nonnegative")
+
+    def test_zero_is_accepted(self, tmp_path, capsys):
+        path = write_graph(tmp_path, STAR63)
+        code, out, _ = run(["check", path, "--controls", "1", "--tol", "0"], capsys)
+        assert code == 0 and json.loads(out)["rank"] == 1
+
+
+class TestGenerate:
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["--family", "chain", "--n", "5", "--k", "3"], hg.hyperchain(5, 3)),
+            (
+                ["--family", "r-ring", "--n", "9", "--k", "4", "--r", "1"],
+                hg.overlap_variant(9, 4, 1, "ring"),
+            ),
+            (
+                ["--family", "random", "--n", "7", "--k", "3",
+                 "--density", "0.4", "--seed", "5"],
+                hg.random_uniform(7, 3, 0.4, 5),
+            ),
+        ],
+    )
+    def test_json_shape(self, capsys, argv, want):
+        code, out, err = run(["generate", *argv], capsys)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert sorted(doc) == ["edges", "n"]
+        assert doc == hg.to_json_dict(want)
+        assert all(e == sorted(e) for e in doc["edges"])
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--family", "r-chain", "--n", "10", "--k", "4"], "--r"),
+            (["--family", "random", "--n", "6", "--k", "3", "--seed", "1"], "--density"),
+            (["--family", "random", "--n", "6", "--k", "3", "--density", "0.5"], "--seed"),
+        ],
+    )
+    def test_missing_family_parameter(self, capsys, argv, flag):
+        code, out, err = run(["generate", *argv], capsys)
+        assert code == 2 and out == ""
+        assert flag in err
+
+
+class TestBench:
+    def test_csv_header_and_row(self, capsys):
+        code, out, err = run(
+            ["bench", "--family", "complete", "--k", "3", "--n-range", "4:4"], capsys
+        )
+        assert code == 0 and err == ""
+        header, *rows = out.splitlines()
+        assert header == (
+            "family,n,k,seed,exact_value,greedy_value,agree,exact_time_s,greedy_time_s"
+        )
+        assert len(rows) == 1
+        fields = rows[0].split(",")
+        # complete hypergraphs need n-1 controls
+        assert fields[:7] == ["complete", "4", "3", "0", "3", "3", "True"]
+        assert all(float(t) >= 0 for t in fields[7:])
+
+
+class TestSimulateCsv:
+    def test_header_rows_and_final_time(self, tmp_path, capsys):
+        path = write_graph(tmp_path, CHAIN5)
+        # T/dt is not integral, so the last step is shortened to land on T
+        code, out, err = run(
+            ["simulate", path, "--x0", "0.1,0,0,0,0.2", "--controls", "1",
+             "--T", "0.25", "--dt", "0.1"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        header, *rows = out.splitlines()
+        assert header == "t,x1,x2,x3,x4,x5"
+        assert len(rows) == 4
+        assert all(len(row.split(",")) == 6 for row in rows)
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.1, 0.2, 0.25]

@@ -85,7 +85,7 @@ class TestReducedControllability:
             g = random_hypergraph(seed, n, k, density=0.5)
             if not g.edges:
                 continue
-            A = hc.adjacency_uniform(g, k)
+            A = hc.adjacency_auto(g)
             m = 1 + seed % 3
             nodes = tuple(sorted(set(j + 1 for j in seeded_ints(seed + 99, m, n))))
             got = hc.reduced_controllability(A, hc.ControlMatrix(nodes)).rank
@@ -99,7 +99,7 @@ class TestReducedControllability:
             g = random_hypergraph(seed, 6, 3, density=0.4)
             if not g.edges:
                 continue
-            A = hc.adjacency_uniform(g, 3)
+            A = hc.adjacency_auto(g)
             res = hc.reduced_controllability(A, hc.ControlMatrix((1, 2)))
             extra = [
                 hc.ttv_multi(A, [res.basis[:, i] for i in combo])
@@ -121,7 +121,7 @@ class TestReducedControllability:
             g = random_hypergraph(seed, 6, 3, density=0.4)
             if not g.edges:
                 continue
-            A = hc.adjacency_uniform(g, 3)
+            A = hc.adjacency_auto(g)
             nodes = (1, 3, 5)
             plain = hc.ControlMatrix(nodes).matrix(6)
             scales = seeded_floats(seed, 3, lo=0.2, hi=3.0)
@@ -135,7 +135,7 @@ class TestReducedControllability:
             g = random_hypergraph(seed, 6, 3, density=0.4)
             if not g.edges:
                 continue
-            A = hc.adjacency_uniform(g, 3)
+            A = hc.adjacency_auto(g)
             base = (2, 4)
             r0 = rank_of(g, base)
             for extra in (1, 3, 5, 6):
@@ -204,7 +204,7 @@ class TestLemma1:
         right = np.array([seeded_floats(5, 4), seeded_floats(6, 4)])
         X = left @ right
         g = random_hypergraph(11, 5, 3, density=0.6)
-        A = hc.adjacency_uniform(g, 3)
+        A = hc.adjacency_auto(g)
         assert lemma1_check(A, X)
         # independent confirmation through the dense full-tuple products
         dense_p = np.column_stack(

@@ -42,11 +42,6 @@ class TestHypergraphModel:
         with pytest.raises(ValueError, match="positive"):
             hc.Hypergraph(3, ((1, 2),), weights=(-1.0,))
 
-    def test_uniform_order(self):
-        assert hc.hyperchain(5, 3).uniform_order() == 3
-        assert hc.Hypergraph(4, ((1, 2), (1, 2, 3))).uniform_order() is None
-        assert hc.Hypergraph(4, ()).uniform_order() is None
-
 
 class TestGenerators:
     def test_chain_small(self):
@@ -152,36 +147,44 @@ class TestRandomUniform:
 
 class TestAdjacencyUniform:
     def test_order3_entries(self):
-        A = hc.adjacency_uniform(hc.Hypergraph(3, ((1, 2, 3),)), 3)
+        A = hc.adjacency_auto(hc.Hypergraph(3, ((1, 2, 3),)))
         dense = dense_tensor(A)
         assert np.count_nonzero(dense) == 6
         assert set(np.round(dense[dense != 0], 12)) == {0.5}
 
     def test_order2_is_adjacency_matrix(self):
-        A = hc.adjacency_uniform(hc.Hypergraph(2, ((1, 2),)), 2)
+        A = hc.adjacency_auto(hc.Hypergraph(2, ((1, 2),)))
         assert np.array_equal(dense_tensor(A), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_order4_tuple_count(self):
-        A = hc.adjacency_uniform(hc.Hypergraph(4, ((1, 2, 3, 4),)), 4)
+        A = hc.adjacency_auto(hc.Hypergraph(4, ((1, 2, 3, 4),)))
         dense = dense_tensor(A)
         assert np.count_nonzero(dense) == 24
         assert dense[0, 1, 2, 3] == pytest.approx(1.0 / 6.0)
 
-    def test_non_uniform_edge_rejected(self):
-        g = hc.Hypergraph(4, ((1, 2), (1, 2, 3)))
-        with pytest.raises(ValueError, match="edge 1"):
-            hc.adjacency_uniform(g, 2)
+    def test_entries_are_exactly_weight_over_factorial(self):
+        for k in range(2, 13):
+            edges = tuple(tuple(range(j, j + k)) for j in range(1, 4))
+            for weights in (None, (0.1, 3.0, 7.0 / 3.0)):
+                A = hc.adjacency_auto(hc.Hypergraph(k + 2, edges, weights=weights))
+                assert A.order == k
+                assert list(A.entries) == list(edges)
+                for idx, edge in enumerate(edges):
+                    w = 1.0 if weights is None else weights[idx]
+                    want = w * (1.0 / math.factorial(k - 1))
+                    # bit for bit, not approximately
+                    assert A.entries[edge].hex() == want.hex(), (k, weights)
 
     def test_weighted_edges_scale_entries(self):
         g = hc.Hypergraph(3, ((1, 2, 3),), weights=(4.0,))
-        A = hc.adjacency_uniform(g, 3)
+        A = hc.adjacency_auto(g)
         assert A.entry((1, 2, 3)) == pytest.approx(2.0)
 
 
 class TestAdjacencyGeneral:
     def test_two_edge_example(self):
         g = hc.Hypergraph(4, ((1, 2), (2, 3, 4)))
-        A = hc.adjacency_general(g)
+        A = hc.adjacency_auto(g)
         assert A.order == 3
         # cardinality-2 edge spreads 1/3 over its six covering tuples
         dense = dense_tensor(A)
@@ -196,17 +199,13 @@ class TestAdjacencyGeneral:
         # degree of node 1 recovered from the tensor equals its edge count
         assert hc.degrees(A)[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_uniform_input_reduces_to_uniform_construction(self):
-        g = hc.hyperring(6, 3)
-        assert hc.adjacency_general(g).entries == hc.adjacency_uniform(g, 3).entries
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no edges"):
-            hc.adjacency_general(hc.Hypergraph(3, ()))
+    def test_empty_graph_is_empty_order2_tensor(self):
+        A = hc.adjacency_auto(hc.Hypergraph(3, ()))
+        assert (A.order, A.dim, A.entries) == (2, 3, {})
 
     def test_nonuniform_chain_mcn(self):
         g = hc.Hypergraph(4, ((1, 2), (2, 3, 4)))
-        A = hc.adjacency_general(g)
+        A = hc.adjacency_auto(g)
         res = hc.mcn_exact(A)
         assert res.value == 2
         # the depicted control pair is a valid witness even when the
@@ -216,11 +215,11 @@ class TestAdjacencyGeneral:
 
 class TestDegrees:
     def test_ring_is_regular(self):
-        A = hc.adjacency_uniform(hc.hyperring(6, 3), 3)
+        A = hc.adjacency_auto(hc.hyperring(6, 3))
         assert hc.degrees(A) == pytest.approx(np.full(6, 3.0), abs=1e-12)
 
     def test_single_edge(self):
-        A = hc.adjacency_uniform(hc.Hypergraph(5, ((2, 3, 4),)), 3)
+        A = hc.adjacency_auto(hc.Hypergraph(5, ((2, 3, 4),)))
         assert hc.degrees(A) == pytest.approx([0, 1, 1, 1, 0], abs=1e-12)
 
     def test_star_from_published_labeling(self):
@@ -228,20 +227,20 @@ class TestDegrees:
         g = hc.Hypergraph(
             7, ((1, 2, 3), (2, 3, 4), (2, 3, 5), (2, 3, 6), (2, 3, 7))
         )
-        d = hc.degrees(hc.adjacency_uniform(g, 3))
+        d = hc.degrees(hc.adjacency_auto(g))
         assert d[1] == pytest.approx(5.0, abs=1e-12)
         assert d[2] == pytest.approx(5.0, abs=1e-12)
         assert d[[0, 3, 4, 5, 6]] == pytest.approx(np.ones(5), abs=1e-12)
 
     def test_generated_star_degrees(self):
-        d = hc.degrees(hc.adjacency_uniform(hc.hyperstar(7, 3), 3))
+        d = hc.degrees(hc.adjacency_auto(hc.hyperstar(7, 3)))
         assert d[:2] == pytest.approx([5.0, 5.0], abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.integers(3, 8), st.integers(2, 5))
     def test_mixed_cardinality_degree_preservation(self, seed, n, max_card):
         g = random_mixed_hypergraph(seed, n, min(max_card, n))
-        A = hc.adjacency_general(g)
+        A = hc.adjacency_auto(g)
         assert hc.degrees(A) == pytest.approx(g.membership_counts(), abs=1e-9)
 
     @settings(max_examples=50, deadline=None)
@@ -250,7 +249,7 @@ class TestDegrees:
         if k > n:
             return
         g = hc.random_uniform(n, k, 0.5, seed)
-        A = hc.adjacency_uniform(g, k)
+        A = hc.adjacency_auto(g)
         assert hc.degrees(A) == pytest.approx(g.membership_counts(), abs=1e-9)
 
 

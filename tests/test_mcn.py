@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hyperctrl as hc
+from hyperctrl import mcn as mcn_mod
 from hyperctrl.mcn import ExactSearchGuardError, mcn_predicted
 
 from helpers import random_hypergraph, random_mixed_hypergraph
@@ -52,8 +53,18 @@ class TestExact:
             res = hc.mcn_exact(auto(g))
             assert hc.verdict(auto(g), hc.ControlMatrix(res.witness)).full
 
-    def test_all_witnesses_enumeration(self):
+    def test_all_witnesses_enumeration(self, monkeypatch):
+        calls = []
+        closure = mcn_mod.closure_basis
+
+        def counting_closure(*args, **kwargs):
+            calls.append(args)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(mcn_mod, "closure_basis", counting_closure)
         res = hc.mcn_exact(auto(hc.complete(4, 4)), all_witnesses=True)
+        # one lexicographic pass: each subset of size 1, 2 and 3 closed once
+        assert len(calls) == 4 + 6 + 4
         assert res.all_witnesses is not None
         # every 3-subset of a single 4-edge works
         assert len(res.all_witnesses) == 4

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ def e(n, j):
 
 
 def single_edge_tensor(n, edge):
-    return hc.adjacency_uniform(hc.Hypergraph(n, (tuple(edge),)), len(edge))
+    return hc.adjacency_auto(hc.Hypergraph(n, (tuple(edge),)))
 
 
 class TestAdjacencyTensor:
@@ -85,7 +87,7 @@ class TestTtv:
             g = random_hypergraph(seed, n, k, density=0.5)
             if not g.edges:
                 continue
-            A = hc.adjacency_uniform(g, k)
+            A = hc.adjacency_auto(g)
             vs = [seeded_floats(seed * 7 + i, n) for i in range(k - 1)]
             assert hc.ttv_multi(A, vs) == pytest.approx(
                 dense_ttv(A, vs), abs=1e-13
@@ -93,7 +95,7 @@ class TestTtv:
 
     def test_mixed_cardinality_matches_dense_oracle(self):
         g = hc.Hypergraph(5, ((1, 2), (2, 3, 4), (1, 3, 4, 5)))
-        A = hc.adjacency_general(g)
+        A = hc.adjacency_auto(g)
         for seed in range(10):
             vs = [seeded_floats(seed + 100 * i, 5) for i in range(A.order - 1)]
             assert hc.ttv_multi(A, vs) == pytest.approx(
@@ -102,7 +104,7 @@ class TestTtv:
 
     def test_chunked_contraction_is_bit_identical(self, monkeypatch):
         g = hc.Hypergraph(5, ((1, 2), (2, 3, 4), (1, 3, 4, 5)))
-        A = hc.adjacency_general(g)
+        A = hc.adjacency_auto(g)
         basis = np.column_stack([seeded_floats(i, 5) for i in range(4)])
         ms = np.array(
             list(itertools.combinations_with_replacement(range(4), A.order - 1)),
@@ -121,14 +123,13 @@ class TestTtv:
 
     def test_cols_variant_matches_vector_calls(self):
         g = random_hypergraph(3, 5, 3, density=0.6)
-        A = hc.adjacency_uniform(g, 3)
-        m1 = np.column_stack([seeded_floats(i, 5) for i in range(4)])
-        m2 = np.column_stack([seeded_floats(10 + i, 5) for i in range(4)])
-        batch = hc.ttv_multi_cols(A, [m1, m2])
-        for c in range(4):
-            assert batch[:, c] == pytest.approx(
-                hc.ttv_multi(A, [m1[:, c], m2[:, c]]), abs=1e-14
-            )
+        A = hc.adjacency_auto(g)
+        basis = np.column_stack([seeded_floats(i, 5) for i in range(4)])
+        ms = np.array([[0, 1, 2, 3, 1], [1, 1, 3, 0, 2]], dtype=np.intp)
+        batch = _apply_multisets(A, basis, ms)
+        for c in range(ms.shape[1]):
+            args = [basis[:, ms[0, c]], basis[:, ms[1, c]]]
+            assert batch[:, c] == pytest.approx(hc.ttv_multi(A, args), abs=1e-14)
 
 
 @st.composite
@@ -148,7 +149,7 @@ def tensor_and_vectors(draw):
             max_size=k + 1,
         )
     )
-    return hc.adjacency_uniform(g, k), [np.array(v) for v in vecs]
+    return hc.adjacency_auto(g), [np.array(v) for v in vecs]
 
 
 class TestAlgebraicProperties:
@@ -242,6 +243,23 @@ class TestSimulate:
             hc.simulate(A, hc.ControlMatrix(()), np.ones(3), T=2.0, dt=1e-3)
         assert 0.9 < info.value.last_time < 1.1
         assert np.isfinite(info.value.last_state).all()
+
+    def test_blowup_raises_without_numpy_warnings(self):
+        A = single_edge_tensor(3, (1, 2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hc.BlowupError):
+                hc.simulate(A, hc.ControlMatrix(()), np.ones(3), T=2.0, dt=1e-3)
+
+    @pytest.mark.parametrize(
+        "T, dt, name",
+        [(math.inf, 0.1, "T"), (math.nan, 0.1, "T"), (1.0, math.nan, "dt")],
+    )
+    def test_non_finite_horizon_or_step_rejected(self, T, dt, name):
+        A = single_edge_tensor(3, (1, 2, 3))
+        # from the zero equilibrium an unbounded horizon would never blow up
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            hc.simulate(A, hc.ControlMatrix(()), np.zeros(3), T=T, dt=dt)
 
     def test_constant_input_linear_growth(self):
         # no edges: dx/dt = B u exactly
