@@ -2,7 +2,8 @@
 
 Results go to stdout as key-sorted JSON (or CSV for trajectories and
 benchmarks); diagnostics go to stderr. Exit codes: 0 success, 1 file or
-parse problems, 2 parameter problems, 3 exhaustive-search guard exceeded.
+parse problems, or an input too large for memory (the message names the
+file), 2 parameter problems, 3 exhaustive-search guard exceeded.
 The default rank tolerance can be set through the HYPERCTRL_TOL environment
 variable; an explicit --tol wins.
 """
@@ -15,6 +16,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -95,42 +97,33 @@ def cmd_generate(args) -> int:
         if args.density is None or args.seed is None:
             raise ValueError("--density and --seed are required for the random family")
         graph = hg.random_uniform(args.n, args.k, args.density, args.seed)
-    elif family.startswith("r-"):
-        if args.r is None:
-            raise ValueError(f"--r is required for family {family}")
-        graph = hg.overlap_variant(args.n, args.k, args.r, family[2:])
+    elif family == "complete":
+        graph = hg.complete(args.n, args.k)
     else:
-        maker = {
-            "chain": hg.hyperchain,
-            "ring": hg.hyperring,
-            "star": hg.hyperstar,
-            "complete": hg.complete,
-        }[family]
-        graph = maker(args.n, args.k)
+        r = args.r
+        if family.startswith("r-"):
+            if r is None:
+                raise ValueError(f"--r is required for family {family}")
+        else:
+            # a plain family reports k < 2 as such, not as an r out of range
+            hg._check_nk(args.n, args.k)
+            r = args.k - 1
+        graph = hg.overlap_variant(args.n, args.k, r, family.removeprefix("r-"))
     _emit_json(hg.to_json_dict(graph))
     return 0
 
 
-def cmd_mcn(args) -> int:
-    tol = _resolve_tol(args)
-    graph = _load_graph(args.hypergraph)
-    started = time.perf_counter()
-    components = connected_components(graph)
+def _solve_by_component(graph: hg.Hypergraph, solve) -> dict:
+    """Solve each connected component's tensor and add up the minima.
+
+    Witnesses and rank traces are mapped back to the graph's labels; the
+    total is None when some component has no controlling set.
+    """
     per_component = []
     total: int | None = 0
     witness: list[int] = []
-    for comp in components:
-        tensor = hg.adjacency_auto(comp.hypergraph)
-        if args.method == "exact":
-            result = mcn_exact(tensor, tol=tol, guard=args.guard)
-        else:
-            result = mcn_greedy(
-                tensor,
-                tol=tol,
-                tie_break=args.tie_break,
-                seed=args.seed,
-                threads=args.threads,
-            )
+    for comp in connected_components(graph):
+        result = solve(hg.adjacency_auto(comp.hypergraph))
         mapped_witness = sorted(comp.nodes[j - 1] for j in result.witness)
         entry = {
             "nodes": list(comp.nodes),
@@ -147,14 +140,22 @@ def cmd_mcn(args) -> int:
         elif total is not None:
             total += result.value
         witness.extend(mapped_witness)
+    return {"value": total, "witness": sorted(witness), "components": per_component}
+
+
+def cmd_mcn(args) -> int:
+    tol = _resolve_tol(args)
+    graph = _load_graph(args.hypergraph)
+    started = time.perf_counter()
+    if args.method == "exact":
+        solve = partial(mcn_exact, tol=tol, guard=args.guard)
+    else:
+        solve = partial(
+            mcn_greedy, tol=tol, tie_break=args.tie_break, seed=args.seed, threads=args.threads
+        )
+    solved = _solve_by_component(graph, solve)
     elapsed = time.perf_counter() - started
-    payload = {
-        "method": args.method,
-        "value": total,
-        "witness": sorted(witness),
-        "components": per_component,
-        "n": graph.n,
-    }
+    payload = {"method": args.method, **solved, "n": graph.n}
     if args.report:
         payload = _report("mcn", args, tol, graph, payload, {"compute_s": elapsed})
     _emit_json(payload)
@@ -262,7 +263,8 @@ def cmd_bench(args) -> int:
 
 
 def run_benchmark(family, k, n_values, seeds, density=0.5, tol=None, guard=20):
-    """Exact-versus-greedy comparison rows; importable for tests."""
+    """Exact-versus-greedy comparison rows, both solved per connected
+    component as ``mcn`` does; importable for tests."""
     rows = []
     for n in n_values:
         for seed in seeds:
@@ -272,11 +274,10 @@ def run_benchmark(family, k, n_values, seeds, density=0.5, tol=None, guard=20):
                 graph = hg.complete(n, k)
             else:
                 raise ValueError(f"bench family must be random or complete, got {family!r}")
-            tensor = hg.adjacency_auto(graph)
             t0 = time.perf_counter()
-            exact = mcn_exact(tensor, tol=tol, guard=guard)
+            exact = _solve_by_component(graph, partial(mcn_exact, tol=tol, guard=guard))["value"]
             t1 = time.perf_counter()
-            greedy = mcn_greedy(tensor, tol=tol)
+            greedy = _solve_by_component(graph, partial(mcn_greedy, tol=tol))["value"]
             t2 = time.perf_counter()
             rows.append(
                 {
@@ -284,9 +285,9 @@ def run_benchmark(family, k, n_values, seeds, density=0.5, tol=None, guard=20):
                     "n": n,
                     "k": k,
                     "seed": seed,
-                    "exact_value": exact.value,
-                    "greedy_value": greedy.value,
-                    "agree": exact.value == greedy.value,
+                    "exact_value": exact,
+                    "greedy_value": greedy,
+                    "agree": exact == greedy,
                     "exact_time_s": t1 - t0,
                     "greedy_time_s": t2 - t1,
                 }
@@ -404,6 +405,13 @@ def main(argv=None) -> int:
         return 3
     except _FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError is a MemoryError too
+        path = getattr(args, "hypergraph", None) or getattr(args, "csv", None)
+        where = f"{path}: " if path else ""
+        detail = str(exc) or "allocation failed"
+        print(f"error: {where}input too large for memory: {detail}", file=sys.stderr)
         return 1
     except BlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,11 +6,15 @@ cardinality: an edge of cardinality s fills every length-k index multiset
 that uses each of its nodes, with a per-tuple coefficient chosen so node
 degrees are preserved. On uniform input that is weight/(k-1)! on the tuples
 of each edge.
+
+The chain, ring and star families have one builder, ``overlap_variant``:
+consecutive edges share r nodes, and the plain families are its r = k-1
+case. ``_tiles`` is the one statement of which node counts a family tiles;
+``mcn.mcn_predicted`` asks it too.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -66,14 +70,6 @@ class Hypergraph:
 
     def edge_weight(self, index: int) -> float:
         return 1.0 if self.weights is None else self.weights[index]
-
-    def membership_counts(self) -> np.ndarray:
-        """Number of edges containing each node (weighted when applicable)."""
-        counts = np.zeros(self.n)
-        for idx, edge in enumerate(self.edges):
-            for j in edge:
-                counts[j - 1] += self.edge_weight(idx)
-        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -165,31 +161,19 @@ def _check_nk(n: int, k: int):
 def hyperchain(n: int, k: int) -> Hypergraph:
     """Chain of n nodes where every k consecutive nodes form an edge."""
     _check_nk(n, k)
-    edges = [tuple(range(j, j + k)) for j in range(1, n - k + 2)]
-    return Hypergraph(n=n, edges=tuple(edges))
+    return overlap_variant(n, k, k - 1, "chain")
 
 
 def hyperring(n: int, k: int) -> Hypergraph:
     """Cyclic chain; coinciding windows (n = k) collapse to a single edge."""
     _check_nk(n, k)
-    seen = set()
-    edges = []
-    for j in range(n):
-        window = tuple(sorted((j + t) % n + 1 for t in range(k)))
-        if window not in seen:
-            seen.add(window)
-            edges.append(window)
-    return Hypergraph(n=n, edges=tuple(edges))
+    return overlap_variant(n, k, k - 1, "ring")
 
 
 def hyperstar(n: int, k: int) -> Hypergraph:
     """k-1 internal nodes shared by all edges, one leaf per edge."""
     _check_nk(n, k)
-    if n == k - 1:
-        raise ValueError(f"hyperstar needs at least one leaf: n={n}, k={k}")
-    core = tuple(range(1, k))
-    edges = [core + (leaf,) for leaf in range(k, n + 1)]
-    return Hypergraph(n=n, edges=tuple(edges))
+    return overlap_variant(n, k, k - 1, "star")
 
 
 def complete(n: int, k: int) -> Hypergraph:
@@ -198,67 +182,58 @@ def complete(n: int, k: int) -> Hypergraph:
     return Hypergraph(n=n, edges=tuple(itertools.combinations(range(1, n + 1), k)))
 
 
-def _feasible_examples(start: int, stride: int, count: int = 3) -> str:
-    return ", ".join(str(start + i * stride) for i in range(count)) + ", ..."
+def _tiles(n: int, k: int, r: int, family: str) -> bool:
+    """Whether edges of k nodes advancing by k - r nodes tile n nodes.
+
+    Chains and stars need (n - k) divisible by k - r. Rings need n divisible
+    by k - r (the cycle must close) and, below r = k-1, at least three edges.
+    """
+    stride = k - r
+    if family == "ring":
+        return n % stride == 0 and (r == k - 1 or n >= 3 * stride)
+    return (n - k) % stride == 0
 
 
 def overlap_variant(n: int, k: int, r: int, family: str) -> Hypergraph:
     """Chain/ring/star where consecutive edges share exactly r nodes.
 
-    Edges advance by k-r nodes, so the node count must tile: chains and
-    stars need (n - k) divisible by k - r, rings need n divisible by k - r
-    (the cycle must close) with at least three edges. r = k-1 reproduces the
-    plain family.
+    Edges advance by k-r nodes, so the node count must tile (see ``_tiles``).
+    r = k-1 is the plain family: a chain of all k-windows, a ring of all
+    cyclic k-windows, a star of k-1 core nodes with one leaf per edge.
     """
     if not 0 < r < k:
         raise ValueError(f"need 0 < r < k, got r={r}, k={k}")
     _check_nk(n, k)
-    if r == k - 1:
-        base = {"chain": hyperchain, "ring": hyperring, "star": hyperstar}
-        if family not in base:
-            raise ValueError(f"unknown family {family!r}")
-        return base[family](n, k)
+    if family not in ("chain", "ring", "star"):
+        raise ValueError(f"unknown family {family!r}")
     stride = k - r
+    if not _tiles(n, k, r, family):
+        if family == "ring":
+            need, first = f"n divisible by {stride} with at least 3 edges", 3 * stride
+        else:
+            need, first = f"(n - k) divisible by {stride}", k
+        examples = ", ".join(str(first + i * stride) for i in range(3))
+        raise ValueError(
+            f"no {r}-overlap {family} on n={n} nodes with k={k}: need {need}; "
+            f"feasible n: {examples}, ..."
+        )
     if family == "chain":
-        if (n - k) % stride != 0:
-            raise ValueError(
-                f"no {r}-overlap chain on n={n} nodes with k={k}: need (n - k) "
-                f"divisible by {stride}; feasible n: "
-                + _feasible_examples(k, stride)
-            )
+        edges = [tuple(range(start, start + k)) for start in range(1, n - k + 2, stride)]
+    elif family == "ring":
         edges = [
-            tuple(range(start, start + k))
-            for start in range(1, n - k + 2, stride)
+            tuple(sorted((start + t) % n + 1 for t in range(k)))
+            for start in range(0, n, stride)
         ]
-        return Hypergraph(n=n, edges=tuple(edges))
-    if family == "ring":
-        p = n // stride
-        if n % stride != 0 or p < 3:
-            raise ValueError(
-                f"no {r}-overlap ring on n={n} nodes with k={k}: need n "
-                f"divisible by {stride} with at least 3 edges; feasible n: "
-                + _feasible_examples(3 * stride, stride)
-            )
-        edges = []
-        for i in range(p):
-            start = i * stride
-            edges.append(tuple(sorted((start + t) % n + 1 for t in range(k))))
-        return Hypergraph(n=n, edges=tuple(edges))
-    if family == "star":
-        if (n - k) % stride != 0:
-            raise ValueError(
-                f"no {r}-overlap star on n={n} nodes with k={k}: need (n - k) "
-                f"divisible by {stride}; feasible n: "
-                + _feasible_examples(k, stride)
-            )
+        if r == k - 1:
+            # n = k: every window is the whole node set
+            edges = list(dict.fromkeys(edges))
+    else:
         core = tuple(range(1, r + 1))
-        edges = []
-        leaf = r + 1
-        while leaf + stride - 1 <= n:
-            edges.append(core + tuple(range(leaf, leaf + stride)))
-            leaf += stride
-        return Hypergraph(n=n, edges=tuple(edges))
-    raise ValueError(f"unknown family {family!r}")
+        edges = [
+            core + tuple(range(leaf, leaf + stride))
+            for leaf in range(r + 1, n - stride + 2, stride)
+        ]
+    return Hypergraph(n=n, edges=tuple(edges))
 
 
 def _splitmix64(seed: int, counter: int) -> int:
@@ -331,11 +306,3 @@ def from_json_dict(doc: dict) -> Hypergraph:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"hypergraph key {key!r} is malformed: {exc}") from None
     return Hypergraph(**fields)
-
-
-def dumps(graph: Hypergraph) -> str:
-    return json.dumps(to_json_dict(graph), sort_keys=True)
-
-
-def loads(text: str) -> Hypergraph:
-    return from_json_dict(json.loads(text))

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .controllability import closure_basis
-from .hypergraph import Hypergraph, _splitmix64, degrees
+from .hypergraph import Hypergraph, _splitmix64, _tiles, degrees
 from .tensor import AdjacencyTensor
 
 
@@ -220,22 +220,15 @@ def mcn_greedy(
     )
 
 
-# Observed minimum counts for the overlap variants, keyed by (k, r, family);
-# each returns the count for a tiling n or None.
+# Observed minimum counts for the overlap variants at tiling n, keyed by
+# (k, r, family); None where no count was observed.
 def _variant_table(k: int, r: int, family: str, n: int) -> int | None:
-    if k == 4:
-        if r == 1:
-            if family in ("chain", "star") and (2 * n + 1) % 3 == 0:
-                return (2 * n + 1) // 3
-            if family == "ring" and (2 * n) % 3 == 0:
-                return (2 * n) // 3
-        if r == 2 and n % 2 == 0:
-            return (n + 2) // 2
-    if k == 3 and r == 1:
-        if family in ("chain", "star") and (n + 1) % 2 == 0:
-            return (n + 1) // 2
-        if family == "ring" and n % 2 == 0:
-            return n // 2
+    if (k, r) == (4, 1):
+        return 2 * n // 3 if family == "ring" else (2 * n + 1) // 3
+    if (k, r) == (4, 2):
+        return (n + 2) // 2
+    if (k, r) == (3, 1):
+        return n // 2 if family == "ring" else (n + 1) // 2
     return None
 
 
@@ -255,11 +248,7 @@ def mcn_predicted(family: str, n: int, k: int, r: int | None = None) -> int | No
         base = family[2:]
         if r == k - 1:
             return mcn_predicted(base, n, k)
-        if base in ("chain", "star") and (n - k) % (k - r) != 0:
-            return None
-        if base == "ring" and (n % (k - r) != 0 or n // (k - r) < 3):
-            return None
-        if base == "star" and n <= k:
+        if not _tiles(n, k, r, base) or (base == "star" and n <= k):
             return None
         return _variant_table(k, r, base, n)
     if family == "chain":

@@ -119,6 +119,15 @@ def lemma1_check(
     return rank_at(p) == r_both and rank_at(q) == r_both
 
 
+def membership_counts(graph: Hypergraph) -> np.ndarray:
+    """Number of edges containing each node (weighted when applicable)."""
+    counts = np.zeros(graph.n)
+    for idx, edge in enumerate(graph.edges):
+        for j in edge:
+            counts[j - 1] += graph.edge_weight(idx)
+    return counts
+
+
 def seeded_floats(seed: int, count: int, lo=-1.0, hi=1.0) -> np.ndarray:
     """Deterministic, platform-stable uniform floats from splitmix64."""
     vals = np.array(

@@ -1,7 +1,8 @@
 """Command-line interface: output shape and the exit-code contract.
 
-Exit codes: 0 success, 1 file or parse problems, 2 parameter problems,
-3 exhaustive-search guard exceeded. Every case runs ``cli.main`` in-process.
+Exit codes: 0 success, 1 file or parse problems or an input too large for
+memory, 2 parameter problems, 3 exhaustive-search guard exceeded. Every case
+runs ``cli.main`` in-process.
 """
 from __future__ import annotations
 
@@ -80,6 +81,18 @@ class TestExitCodes:
         )
         assert code == 3 and out == ""
         assert err.startswith("error: ")
+
+
+    # n passes every check of the loader but no array of n rows fits in memory
+    @pytest.mark.parametrize(
+        "argv", [["check", "GRAPH", "--controls", "1"], ["mcn", "GRAPH"]]
+    )
+    def test_input_too_large_for_memory_names_file(self, tmp_path, capsys, argv):
+        path = write_graph(tmp_path, {"n": 100_000_000_000_000, "edges": [[1, 2]]})
+        argv = [path if tok == "GRAPH" else tok for tok in argv]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: input too large for memory")
 
 
 class TestSimulateSchedule:
@@ -234,6 +247,25 @@ class TestBench:
         # complete hypergraphs need n-1 controls
         assert fields[:7] == ["complete", "4", "3", "0", "3", "3", "True"]
         assert all(float(t) >= 0 for t in fields[7:])
+
+
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            # 21 nodes exceed the exact guard of 20; the largest component has 6
+            (["--n-range", "21:21", "--seeds", "1", "--density", "0.05"], [("11", "11")]),
+            # whole-graph greedy took noisy ranks and answered 4, 2 and 1
+            (
+                ["--n-range", "12:12", "--seeds", "2,3,5", "--density", "0.2"],
+                [("5", "5"), ("3", "3"), ("2", "2")],
+            ),
+        ],
+    )
+    def test_solves_per_component_like_mcn(self, capsys, argv, values):
+        code, out, err = run(["bench", "--family", "random", "--k", "2", *argv], capsys)
+        assert code == 0 and err == ""
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [(f[4], f[5], f[6]) for f in rows] == [(e, g, "True") for e, g in values]
 
 
 class TestSimulateCsv:

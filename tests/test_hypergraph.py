@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperctrl as hc
-from hyperctrl.hypergraph import dumps, from_json_dict, loads, to_json_dict
+from hyperctrl.hypergraph import from_json_dict, to_json_dict
 
-from helpers import dense_tensor, random_mixed_hypergraph
+from helpers import dense_tensor, membership_counts, random_mixed_hypergraph
 
 
 class TestHypergraphModel:
@@ -74,8 +75,11 @@ class TestGenerators:
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
             hc.hyperchain(2, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="edge cardinality"):
             hc.hyperring(3, 1)
+        # equal windows collapse only in the plain ring (r = k-1)
+        with pytest.raises(ValueError, match="duplicates"):
+            hc.overlap_variant(6, 6, 4, "ring")
 
 
 class TestOverlapVariants:
@@ -241,7 +245,7 @@ class TestDegrees:
     def test_mixed_cardinality_degree_preservation(self, seed, n, max_card):
         g = random_mixed_hypergraph(seed, n, min(max_card, n))
         A = hc.adjacency_auto(g)
-        assert hc.degrees(A) == pytest.approx(g.membership_counts(), abs=1e-9)
+        assert hc.degrees(A) == pytest.approx(membership_counts(g), abs=1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.integers(3, 7), st.integers(2, 4))
@@ -250,13 +254,13 @@ class TestDegrees:
             return
         g = hc.random_uniform(n, k, 0.5, seed)
         A = hc.adjacency_auto(g)
-        assert hc.degrees(A) == pytest.approx(g.membership_counts(), abs=1e-9)
+        assert hc.degrees(A) == pytest.approx(membership_counts(g), abs=1e-9)
 
 
 class TestJson:
     def test_round_trip(self):
         g = hc.Hypergraph(5, ((1, 2, 3), (2, 4, 5)), weights=(1.0, 2.5))
-        assert loads(dumps(g)) == g
+        assert from_json_dict(json.loads(json.dumps(to_json_dict(g)))) == g
 
     def test_weights_omitted_when_absent(self):
         doc = to_json_dict(hc.hyperchain(4, 3))

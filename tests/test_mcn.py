@@ -181,6 +181,17 @@ class TestPredicted:
             assert want is not None
             assert hc.mcn_exact(auto(graph)).value == want
 
+    @pytest.mark.parametrize("family", ["chain", "ring", "star"])
+    @pytest.mark.parametrize("k, r", [(3, 1), (4, 1), (4, 2)])
+    def test_prediction_only_where_the_builder_tiles(self, family, k, r):
+        for n in range(k, 31):
+            want = mcn_predicted("r-" + family, n, k, r)
+            try:
+                hc.overlap_variant(n, k, r, family)
+            except ValueError as exc:
+                assert "feasible n" in str(exc)
+                assert want is None, (n, k, r)
+
 
 class TestComponents:
     def test_connected_chain_single_component(self):
