@@ -5,7 +5,6 @@ from .controllability import (
     ReducedControllabilityMatrix,
     VerdictKind,
     closure_basis,
-    reduced_controllability,
     verdict,
 )
 from .hypergraph import (
@@ -20,7 +19,6 @@ from .hypergraph import (
     random_uniform,
 )
 from .ingest import (
-    MultiCorrelation,
     TimeSeriesMatrix,
     build_hypergraph,
     load_time_series_csv,
@@ -43,7 +41,6 @@ from .tensor import (
     Trajectory,
     drift,
     simulate,
-    ttv_multi,
 )
 
 __version__ = "0.1.0"

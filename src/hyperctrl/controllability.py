@@ -6,7 +6,9 @@ of current basis columns (permuted argument tuples give identical columns by
 supersymmetry, so multisets suffice), then re-orthonormalizes through an
 economy SVD and drops singular values below the cutoff. The chain of spans
 is monotone and stabilizes within n rounds; one round without rank growth
-proves the fixed point, so the loop exits early.
+proves the fixed point, so the loop exits early. ``closure_basis`` is the
+one way in: ``verdict`` and the MCN searches all start it from the unit
+columns of ``ControlMatrix.matrix``.
 """
 from __future__ import annotations
 
@@ -111,26 +113,9 @@ def closure_basis(
     )
 
 
-def reduced_controllability(
-    tensor: AdjacencyTensor,
-    controls: ControlMatrix | np.ndarray,
-    tol: float | None = None,
-) -> ReducedControllabilityMatrix:
-    """Reduced controllability matrix for control columns attached at nodes.
-
-    ``controls`` is either a ControlMatrix (unit basis columns) or an
-    arbitrary n x m matrix.
-    """
-    if isinstance(controls, ControlMatrix):
-        start = controls.matrix(tensor.dim)
-    else:
-        start = np.asarray(controls, dtype=np.float64)
-    return closure_basis(tensor, start, tol=tol)
-
-
 def verdict(
     tensor: AdjacencyTensor,
-    controls: ControlMatrix | np.ndarray,
+    controls: ControlMatrix,
     tol: float | None = None,
 ) -> ControllabilityVerdict:
     """Full-rank test of the controllability subspace.
@@ -139,7 +124,7 @@ def verdict(
     even (odd-degree drift). For odd orders the same rank condition only
     certifies accessibility, and the verdict says so; it is never upgraded.
     """
-    reduced = reduced_controllability(tensor, controls, tol=tol)
+    reduced = closure_basis(tensor, controls.matrix(tensor.dim), tol=tol)
     kind = VerdictKind.STRONG if tensor.order % 2 == 0 else VerdictKind.ACCESSIBILITY
     return ControllabilityVerdict(
         rank=reduced.rank, full=reduced.rank == tensor.dim, kind=kind

@@ -8,6 +8,7 @@ pairwise correlation.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,16 +54,8 @@ class TimeSeriesMatrix:
         return cls(signals=arr, labels=tuple(labels))
 
 
-@dataclass(frozen=True)
-class MultiCorrelation:
-    """Score of one node tuple; rho lies in [0, 1]."""
-
-    nodes: tuple
-    rho: float
-
-
-def multi_correlation(series: TimeSeriesMatrix, nodes: Sequence[int]) -> MultiCorrelation:
-    """Multi-correlation sqrt(1 - det R) of the selected channels.
+def multi_correlation(series: TimeSeriesMatrix, nodes: Sequence[int]) -> float:
+    """Multi-correlation sqrt(1 - det R) of the selected channels, in [0, 1].
 
     The determinant of a correlation matrix lies in [0, 1]; floating-point
     evaluation can exit that range by an ulp or two, so it is clamped before
@@ -89,7 +82,7 @@ def multi_correlation(series: TimeSeriesMatrix, nodes: Sequence[int]) -> MultiCo
     corr = np.corrcoef(rows)
     det = float(np.linalg.det(corr))
     det = min(max(det, 0.0), 1.0)
-    return MultiCorrelation(nodes=tuple(sorted(nodes)), rho=math.sqrt(1.0 - det))
+    return math.sqrt(1.0 - det)
 
 
 def build_hypergraph(series: TimeSeriesMatrix, k: int, threshold: float) -> Hypergraph:
@@ -106,11 +99,9 @@ def build_hypergraph(series: TimeSeriesMatrix, k: int, threshold: float) -> Hype
             f"C({series.n}, {k}) = {total} tuples exceeds the {MAX_TUPLES} "
             "guard; subsample the channels first"
         )
-    import itertools
-
     edges = []
     for nodes in itertools.combinations(range(1, series.n + 1), k):
-        if multi_correlation(series, nodes).rho > threshold:
+        if multi_correlation(series, nodes) > threshold:
             edges.append(nodes)
     return Hypergraph(n=series.n, edges=tuple(edges))
 

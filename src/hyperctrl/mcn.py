@@ -12,7 +12,7 @@ import numpy as np
 
 from .controllability import closure_basis
 from .hypergraph import Hypergraph, _splitmix64, _tiles, degrees
-from .tensor import AdjacencyTensor
+from .tensor import AdjacencyTensor, ControlMatrix
 
 
 class ExactSearchGuardError(ValueError):
@@ -96,13 +96,6 @@ def _tensor_component_ids(tensor: AdjacencyTensor) -> np.ndarray:
     return ids
 
 
-def _rank_of_nodes(tensor: AdjacencyTensor, nodes, tol) -> int:
-    mat = np.zeros((tensor.dim, len(nodes)))
-    for col, j in enumerate(nodes):
-        mat[j - 1, col] = 1.0
-    return closure_basis(tensor, mat, tol=tol).rank
-
-
 def mcn_exact(
     tensor: AdjacencyTensor,
     tol: float | None = None,
@@ -137,7 +130,7 @@ def mcn_exact(
         for subset in itertools.combinations(range(1, n + 1), m):
             if {comp_ids[j - 1] for j in subset} != all_ids:
                 continue
-            if _rank_of_nodes(tensor, subset, tol) == n:
+            if closure_basis(tensor, ControlMatrix(subset).matrix(n), tol=tol).rank == n:
                 found.append(subset)
                 if not all_witnesses:
                     break
@@ -167,6 +160,9 @@ def mcn_greedy(
     cold start. Ties on the gain are broken by highest degree then lowest
     index (``degree``), lowest index alone (``index``), or a seeded uniform
     pick (``random``, requires ``seed``).
+
+    Raises:
+        ValueError: no candidate raises the rank at the given tolerance.
     """
     if tie_break not in ("degree", "index", "random"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
@@ -183,9 +179,8 @@ def mcn_greedy(
         remaining = [j for j in range(1, n + 1) if j not in chosen]
 
         def eval_candidate(j: int):
-            col = np.zeros((n, 1))
-            col[j - 1, 0] = 1.0
-            return closure_basis(tensor, np.hstack([basis, col]), tol=tol)
+            start = np.hstack([basis, ControlMatrix((j,)).matrix(n)])
+            return closure_basis(tensor, start, tol=tol)
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -195,9 +190,10 @@ def mcn_greedy(
         gains = [res.rank - rank for res in results]
         best_gain = max(gains)
         if best_gain < 1:
-            raise RuntimeError(
-                "no candidate raised the rank although the span is not full; "
-                "with unit control columns this indicates a rank-tolerance bug"
+            # a large tolerance can cut off the new direction of every candidate
+            raise ValueError(
+                f"no candidate raises the rank above {rank} of {n} at rank "
+                f"tolerance {tol!r}; use a smaller tolerance"
             )
         tied = [pos for pos, g in enumerate(gains) if g == best_gain]
         if tie_break == "random":

@@ -119,15 +119,6 @@ class AdjacencyTensor:
             if not math.isfinite(value):
                 raise ValueError(f"pattern {pattern} carries non-finite weight {value!r}")
 
-    def entry(self, indices: Sequence[int]) -> float:
-        """Tensor entry at an index tuple; invariant under index permutation."""
-        if len(indices) != self.order:
-            raise ValueError(
-                f"expected {self.order} indices for an order-{self.order} tensor, "
-                f"got {len(indices)}"
-            )
-        return self.entries.get(tuple(sorted(indices)), 0.0)
-
     def kernel(self) -> _Kernel:
         if self._kernel is None:
             object.__setattr__(self, "_kernel", _build_kernel(self))
@@ -161,34 +152,6 @@ def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
         ),
         coefs=np.ascontiguousarray(np.asarray(coefs, dtype=np.float64)[order]),
     )
-
-
-def ttv_multi(tensor: AdjacencyTensor, vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract the tensor with k-1 vectors, returning a length-n vector.
-
-    Component j of the result sums tensor entries with first index j against
-    the product of the supplied vectors over the remaining indices.
-
-    Raises:
-        ValueError: wrong vector count for the tensor order, or a vector
-            whose length differs from the tensor dimension.
-    """
-    k, n = tensor.order, tensor.dim
-    if len(vectors) != k - 1:
-        raise ValueError(
-            f"expected {k - 1} vectors for an order-{k} tensor, got {len(vectors)}"
-        )
-    cols = []
-    for pos, v in enumerate(vectors):
-        arr = np.asarray(v, dtype=np.float64)
-        if arr.shape != (n,):
-            raise ValueError(
-                f"vector at position {pos} has shape {arr.shape}, expected ({n},)"
-            )
-        cols.append(arr)
-    basis = np.column_stack(cols)
-    ms = np.arange(k - 1, dtype=np.intp).reshape(k - 1, 1)
-    return _apply_multisets(tensor, basis, ms)[:, 0]
 
 
 def drift(tensor: AdjacencyTensor, x: np.ndarray) -> np.ndarray:
@@ -288,9 +251,6 @@ class Trajectory:
 
     def __iter__(self):
         return ((t, x) for t, x in zip(self.times, self.states))
-
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def simulate(

@@ -1,20 +1,23 @@
 """Independent oracles and small builders shared across the test modules.
 
 The oracles recompute results from first principles (dense arrays, literal
-definitions) so the sparse production paths are checked against genuinely
-independent implementations. ``lemma1_check`` is the exception: it tests
-the column-space lemma the closure relies on through the closure's own
-expansion step.
+definitions, exact rational arithmetic) so the sparse production paths are
+checked against genuinely independent implementations. ``lemma1_check`` is
+the exception: it tests the column-space lemma the closure relies on
+through the closure's own expansion step. ``entry`` and ``ttv_multi`` are
+small conveniences over the production storage and kernel.
 """
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
 from hyperctrl import AdjacencyTensor, Hypergraph
 from hyperctrl.controllability import _expansion_columns, _orthonormalize
 from hyperctrl.hypergraph import _splitmix64
+from hyperctrl.tensor import _apply_multisets
 
 # Dense materialization allocates n^k entries; refuse anything above this.
 MAX_DENSE_ENTRIES = 10**6
@@ -33,6 +36,17 @@ def dense_tensor(tensor: AdjacencyTensor) -> np.ndarray:
         for tup in set(itertools.permutations(pattern)):
             dense[tuple(j - 1 for j in tup)] = coef
     return dense
+
+
+def entry(tensor: AdjacencyTensor, indices) -> float:
+    """Tensor entry at an index tuple; invariant under index permutation."""
+    return tensor.entries.get(tuple(sorted(indices)), 0.0)
+
+
+def ttv_multi(tensor: AdjacencyTensor, vectors) -> np.ndarray:
+    """Contract the tensor with k-1 vectors through the sparse kernel."""
+    ms = np.arange(tensor.order - 1, dtype=np.intp).reshape(-1, 1)
+    return _apply_multisets(tensor, np.column_stack(vectors), ms)[:, 0]
 
 
 def dense_ttv(tensor: AdjacencyTensor, vectors) -> np.ndarray:
@@ -82,6 +96,62 @@ def kalman_rank(adjacency: np.ndarray, control_nodes, tol=1e-9) -> int:
     for _ in range(n - 1):
         blocks.append(adjacency @ blocks[-1])
     return int(np.linalg.matrix_rank(np.hstack(blocks), tol=tol))
+
+
+def exact_closure_rank(tensor: AdjacencyTensor, control_nodes) -> int:
+    """Closure rank in exact rational arithmetic.
+
+    Every float entry converts to a ``Fraction`` exactly. The span closure
+    does not depend on the choice of basis, so it is enough to apply the
+    tensor to the multisets of an echelon basis: each multiset is contracted
+    once, when its last member joins the basis, term by term from
+    ``tensor.entries``, and its result is reduced against the basis.
+    """
+    n, k = tensor.dim, tensor.order
+    # one term per index tuple (i, j_1, ..., j_{k-1}) realizing a pattern
+    terms = []
+    for pattern, coef in tensor.entries.items():
+        c = Fraction(coef)
+        for pivot in set(pattern):
+            rest = list(pattern)
+            rest.remove(pivot)
+            for sigma in set(itertools.permutations(rest)):
+                terms.append((pivot - 1, tuple(j - 1 for j in sigma), c))
+    basis: list[list[Fraction]] = []
+    pivots: list[int] = []
+
+    def add(y: list) -> None:
+        for b, p in zip(basis, pivots):
+            if y[p]:
+                f = y[p]
+                y = [a - f * v for a, v in zip(y, b)]
+        p = next((i for i, a in enumerate(y) if a), None)
+        if p is not None:
+            basis.append([a / y[p] for a in y])
+            pivots.append(p)
+
+    for j in control_nodes:
+        y = [Fraction(0)] * n
+        y[j - 1] = Fraction(1)
+        add(y)
+    t = 0
+    while t < len(basis) < n:
+        for combo in itertools.combinations_with_replacement(range(t + 1), k - 2):
+            vecs = [basis[s] for s in combo + (t,)]
+            y = [Fraction(0)] * n
+            for i, sigma, c in terms:
+                prod = c
+                for v, node in zip(vecs, sigma):
+                    if not v[node]:
+                        break
+                    prod *= v[node]
+                else:
+                    y[i] += prod
+            add(y)
+            if len(basis) == n:
+                break
+        t += 1
+    return len(basis)
 
 
 def lemma1_check(

@@ -165,7 +165,8 @@ STAR63 = {"n": 6, "edges": [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6]]}
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    # a cutoff of 1 or more can drop the unit control columns themselves
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1", "2", "1e300"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -186,7 +187,20 @@ class TestTolerance:
             monkeypatch.setenv(cli.TOL_ENV_VAR, value)
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
-        assert err.startswith(f"error: {source} must be a finite nonnegative")
+        assert err.startswith(f"error: {source} must lie in [0, 1)")
+
+    @pytest.mark.parametrize(
+        "graph",
+        [hg.hyperchain(12, 3), hg.hyperring(12, 3), hg.hyperstar(10, 3), hg.complete(6, 3)],
+        ids=["chain-12-3", "ring-12-3", "star-10-3", "complete-6-3"],
+    )
+    def test_no_rank_gain_names_tolerance(self, tmp_path, capsys, graph):
+        # below 1, but every candidate's new direction falls under the cutoff
+        path = write_graph(tmp_path, hg.to_json_dict(graph))
+        code, out, err = run(["mcn", path, "--tol", "0.9"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: no candidate raises the rank")
+        assert "tolerance 0.9" in err
 
     def test_zero_is_accepted(self, tmp_path, capsys):
         path = write_graph(tmp_path, STAR63)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import hyperctrl as hc
 from hyperctrl.hypergraph import from_json_dict, to_json_dict
 
-from helpers import dense_tensor, membership_counts, random_mixed_hypergraph
+from helpers import dense_tensor, entry, membership_counts, random_mixed_hypergraph
 
 
 class TestHypergraphModel:
@@ -182,7 +182,7 @@ class TestAdjacencyUniform:
     def test_weighted_edges_scale_entries(self):
         g = hc.Hypergraph(3, ((1, 2, 3),), weights=(4.0,))
         A = hc.adjacency_auto(g)
-        assert A.entry((1, 2, 3)) == pytest.approx(2.0)
+        assert entry(A, (1, 2, 3)) == pytest.approx(2.0)
 
 
 class TestAdjacencyGeneral:

@@ -14,7 +14,14 @@ import hyperctrl as hc
 from hyperctrl import tensor as tensor_mod
 from hyperctrl.tensor import _apply_multisets
 
-from helpers import dense_tensor, dense_ttv, random_hypergraph, seeded_floats
+from helpers import (
+    dense_tensor,
+    dense_ttv,
+    entry,
+    random_hypergraph,
+    seeded_floats,
+    ttv_multi,
+)
 
 
 def e(n, j):
@@ -30,9 +37,9 @@ def single_edge_tensor(n, edge):
 class TestAdjacencyTensor:
     def test_entry_lookup_is_permutation_invariant(self):
         A = single_edge_tensor(3, (1, 2, 3))
-        vals = {A.entry(p) for p in itertools.permutations((1, 2, 3))}
+        vals = {entry(A, p) for p in itertools.permutations((1, 2, 3))}
         assert vals == {0.5}
-        assert A.entry((1, 1, 2)) == 0.0
+        assert entry(A, (1, 1, 2)) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,29 +63,22 @@ class TestTtv:
     def test_single_edge_basis_vectors(self):
         # only the entry selected by the fixed index assignment survives
         A = single_edge_tensor(3, (1, 2, 3))
-        got = hc.ttv_multi(A, [e(3, 2), e(3, 3)])
+        got = ttv_multi(A, [e(3, 2), e(3, 3)])
         assert got == pytest.approx([0.5, 0.0, 0.0], abs=1e-15)
         assert dense_ttv(A, [e(3, 2), e(3, 3)]) == pytest.approx(got, abs=1e-14)
 
     def test_scaled_basis_vectors_order4(self):
         A = single_edge_tensor(4, (1, 2, 3, 4))
         b1, b2, b3 = 2.0, -3.0, 0.5
-        got = hc.ttv_multi(A, [b1 * e(4, 1), b2 * e(4, 2), b3 * e(4, 3)])
+        got = ttv_multi(A, [b1 * e(4, 1), b2 * e(4, 2), b3 * e(4, 3)])
         want = np.zeros(4)
         want[3] = b1 * b2 * b3 / 6.0
         assert got == pytest.approx(want, abs=1e-15)
 
     def test_zero_vector_gives_zero(self):
         A = single_edge_tensor(4, (1, 2, 3, 4))
-        got = hc.ttv_multi(A, [np.ones(4), np.zeros(4), np.ones(4)])
+        got = ttv_multi(A, [np.ones(4), np.zeros(4), np.ones(4)])
         assert np.array_equal(got, np.zeros(4))
-
-    def test_dimension_mismatch_names_offender(self):
-        A = single_edge_tensor(3, (1, 2, 3))
-        with pytest.raises(ValueError, match="position 1"):
-            hc.ttv_multi(A, [np.ones(3), np.ones(4)])
-        with pytest.raises(ValueError, match="expected 2 vectors"):
-            hc.ttv_multi(A, [np.ones(3)])
 
     def test_matches_dense_oracle_on_random_instances(self):
         for seed in range(40):
@@ -89,7 +89,7 @@ class TestTtv:
                 continue
             A = hc.adjacency_auto(g)
             vs = [seeded_floats(seed * 7 + i, n) for i in range(k - 1)]
-            assert hc.ttv_multi(A, vs) == pytest.approx(
+            assert ttv_multi(A, vs) == pytest.approx(
                 dense_ttv(A, vs), abs=1e-13
             )
 
@@ -98,7 +98,7 @@ class TestTtv:
         A = hc.adjacency_auto(g)
         for seed in range(10):
             vs = [seeded_floats(seed + 100 * i, 5) for i in range(A.order - 1)]
-            assert hc.ttv_multi(A, vs) == pytest.approx(
+            assert ttv_multi(A, vs) == pytest.approx(
                 dense_ttv(A, vs), abs=1e-13
             )
 
@@ -129,7 +129,7 @@ class TestTtv:
         batch = _apply_multisets(A, basis, ms)
         for c in range(ms.shape[1]):
             args = [basis[:, ms[0, c]], basis[:, ms[1, c]]]
-            assert batch[:, c] == pytest.approx(hc.ttv_multi(A, args), abs=1e-14)
+            assert batch[:, c] == pytest.approx(ttv_multi(A, args), abs=1e-14)
 
 
 @st.composite
@@ -161,8 +161,8 @@ class TestAlgebraicProperties:
         v, w, *rest = vecs
         fixed = rest[: k - 2]
         a, b = 0.75, -1.25
-        lhs = hc.ttv_multi(A, [a * v + b * w] + fixed)
-        rhs = a * hc.ttv_multi(A, [v] + fixed) + b * hc.ttv_multi(A, [w] + fixed)
+        lhs = ttv_multi(A, [a * v + b * w] + fixed)
+        rhs = a * ttv_multi(A, [v] + fixed) + b * ttv_multi(A, [w] + fixed)
         scale = max(1.0, np.abs(rhs).max())
         assert lhs == pytest.approx(rhs, abs=1e-12 * scale)
 
@@ -173,8 +173,8 @@ class TestAlgebraicProperties:
         args = vecs[: A.order - 1]
         shuffled = list(args)
         rnd.shuffle(shuffled)
-        assert hc.ttv_multi(A, shuffled) == pytest.approx(
-            hc.ttv_multi(A, args), abs=1e-14
+        assert ttv_multi(A, shuffled) == pytest.approx(
+            ttv_multi(A, args), abs=1e-14
         )
 
     @settings(max_examples=60, deadline=None)
@@ -212,7 +212,7 @@ class TestSimulate:
             A, hc.ControlMatrix(()), np.ones(3), T=0.5, dt=1e-4
         )
         assert traj.times[-1] == pytest.approx(0.5, abs=1e-12)
-        assert traj.final() == pytest.approx([2.0, 2.0, 2.0], abs=1e-6)
+        assert traj.states[-1] == pytest.approx([2.0, 2.0, 2.0], abs=1e-6)
 
     def test_zero_state_is_equilibrium(self):
         A = single_edge_tensor(3, (1, 2, 3))
@@ -232,7 +232,7 @@ class TestSimulate:
 
         def err(dt):
             traj = hc.simulate(A, hc.ControlMatrix(()), np.ones(3), T=0.5, dt=dt)
-            return abs(traj.final()[0] - exact)
+            return abs(traj.states[-1][0] - exact)
 
         ratio = err(0.02) / err(0.01)
         assert 8.0 <= ratio <= 32.0
@@ -268,7 +268,7 @@ class TestSimulate:
         traj = hc.simulate(
             A, hc.ControlMatrix((2,)), np.zeros(2), schedule=sched, T=1.0, dt=0.01
         )
-        assert traj.final() == pytest.approx([0.0, 0.5], abs=1e-12)
+        assert traj.states[-1] == pytest.approx([0.0, 0.5], abs=1e-12)
 
     def test_piecewise_schedule_switches(self):
         A = hc.AdjacencyTensor(order=2, dim=1, entries={})
@@ -279,7 +279,7 @@ class TestSimulate:
             A, hc.ControlMatrix((1,)), np.zeros(1), schedule=sched, T=1.0, dt=0.01
         )
         # one RK4 stage straddles the switch, leaving an O(dt) residue
-        assert traj.final()[0] == pytest.approx(0.0, abs=0.01)
+        assert traj.states[-1][0] == pytest.approx(0.0, abs=0.01)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="t=0"):
