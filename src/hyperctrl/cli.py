@@ -4,9 +4,10 @@ Results go to stdout as key-sorted JSON (or CSV for trajectories and
 benchmarks); diagnostics go to stderr. Exit codes: 0 success, 1 file or
 parse problems, or an input too large for memory (the message names the
 file), 2 parameter problems, 3 exhaustive-search guard exceeded.
-The rank tolerance is an absolute singular-value cutoff in [0, 1). Its
-default can be set through the HYPERCTRL_TOL environment variable; an
-explicit --tol wins.
+The rank tolerance is a cutoff in [0, 1) on the singular values of the
+unit-scaled residual that a new closure column leaves outside the span
+already closed; the default is n * 1e-10 for n nodes. Its default can be set
+through the HYPERCTRL_TOL environment variable; an explicit --tol wins.
 """
 from __future__ import annotations
 
@@ -42,9 +43,9 @@ def _resolve_tol(args) -> float | None:
             tol, source = float(raw), TOL_ENV_VAR
         except ValueError:
             raise ValueError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
-    # A negative cutoff keeps every direction and a nan one drops them all. The
-    # top rank(Q) singular values of [Q, C] are at least 1 for an orthonormal
-    # Q, so a cutoff of 1 or more can drop the unit control columns themselves.
+    # The library rejects the same values; checking here names the flag or the
+    # variable. A unit residual never exceeds 1, so a cutoff of 1 or more can
+    # drop the unit control columns themselves.
     if not 0 <= tol < 1:
         raise ValueError(f"{source} must lie in [0, 1), got {tol!r}")
     return tol
@@ -152,9 +153,7 @@ def cmd_mcn(args) -> int:
     if args.method == "exact":
         solve = partial(mcn_exact, tol=tol, guard=args.guard)
     else:
-        solve = partial(
-            mcn_greedy, tol=tol, tie_break=args.tie_break, seed=args.seed, threads=args.threads
-        )
+        solve = partial(mcn_greedy, tol=tol, tie_break=args.tie_break, seed=args.seed)
     solved = _solve_by_component(graph, solve)
     elapsed = time.perf_counter() - started
     payload = {"method": args.method, **solved, "n": graph.n}
@@ -300,7 +299,7 @@ def run_benchmark(family, k, n_values, seeds, density=0.5, tol=None, guard=20):
 def _report(command, args, tol, graph, result, timings) -> dict:
     # the resolved tolerance, so a value taken from HYPERCTRL_TOL is recorded
     parameters = {"tol": tol}
-    for key in ("method", "tie_break", "seed", "guard", "threads", "controls"):
+    for key in ("method", "tie_break", "seed", "guard", "controls"):
         if hasattr(args, key):
             parameters[key] = getattr(args, key)
     return {
@@ -341,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     mcn_p.add_argument("--seed", type=int, help="seed for --tie-break random")
     mcn_p.add_argument("--guard", type=int, default=20,
                        help="node-count cap for the exact search")
-    mcn_p.add_argument("--threads", type=int, default=1,
-                       help="parallelism cap for the greedy sweep; measured 1.6-1.9x "
-                            "faster only with BLAS pinned to one thread "
-                            "(OPENBLAS_NUM_THREADS=1), 1.5-1.8x slower with the "
-                            "default BLAS threads")
     mcn_p.add_argument("--report", action="store_true",
                        help="wrap the result in a run report with digest and timings")
     mcn_p.set_defaults(func=cmd_mcn)

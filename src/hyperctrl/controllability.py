@@ -1,14 +1,12 @@
 """Reduced controllability matrix and rank verdicts.
 
-The controllability subspace is grown iteratively: starting from the span of
-the control columns, each round appends the tensor applied to every multiset
-of current basis columns (permuted argument tuples give identical columns by
-supersymmetry, so multisets suffice), then re-orthonormalizes through an
-economy SVD and drops singular values below the cutoff. The chain of spans
-is monotone and stabilizes within n rounds; one round without rank growth
-proves the fixed point, so the loop exits early. ``closure_basis`` is the
-one way in: ``verdict`` and the MCN searches all start it from the unit
-columns of ``ControlMatrix.matrix``.
+The controllability subspace is the closure of the control columns' span
+under the tensor map. It grows in frontier (semi-naive) rounds: a round
+applies the tensor only to the multisets of basis columns that hold a column
+added in the round before. Each result is scaled to unit norm and projected
+out of the basis twice, and an SVD of that residual keeps the singular
+values above the cutoff. The rounds stop at rank n or when one adds nothing.
+``closure_basis`` is the one way in for ``verdict`` and the MCN searches.
 """
 from __future__ import annotations
 
@@ -18,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor import AdjacencyTensor, ControlMatrix, _apply_multisets
+from .tensor import _CHUNK_ENTRIES, AdjacencyTensor, ControlMatrix, _apply_multisets
 
 
 class VerdictKind(Enum):
@@ -31,8 +29,8 @@ class ReducedControllabilityMatrix:
     """Orthonormal basis of the controllability subspace.
 
     ``rank`` equals the column count of ``basis``; ``iterations`` counts the
-    expansion rounds executed; ``tolerance`` is the singular-value cutoff
-    applied in the final orthonormalization.
+    frontier rounds executed; ``tolerance`` is the cutoff on the singular
+    values of unit-scaled residuals (n * 1e-10 unless the caller sets one).
     """
 
     basis: np.ndarray
@@ -48,63 +46,70 @@ class ControllabilityVerdict:
     kind: VerdictKind
 
 
-def _orthonormalize(matrix: np.ndarray, tol: float | None) -> tuple[np.ndarray, float]:
-    """Orthonormal basis of the column space and the cutoff used.
-
-    The default cutoff is max(rows, cols) * eps * sigma_max; a user tol is an
-    absolute singular-value cutoff.
-    """
-    if matrix.shape[1] == 0:
-        return matrix.reshape(matrix.shape[0], 0), (tol if tol is not None else 0.0)
-    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    if tol is not None:
-        cutoff = tol
-    elif s.size and s[0] > 0:
-        cutoff = max(matrix.shape) * np.finfo(np.float64).eps * s[0]
-    else:
-        cutoff = 0.0
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank], cutoff
+def _frontier_multisets(s: int, m: int, lo: int) -> np.ndarray:
+    """Columns of the sorted multisets of m indices < s with largest index >= lo."""
+    sets = [
+        rest + (t,)
+        for t in range(lo, s)
+        for rest in itertools.combinations_with_replacement(range(t + 1), m - 1)
+    ]
+    return np.array(sets, dtype=np.intp).reshape(-1, m).T.copy()
 
 
-def _expansion_columns(tensor: AdjacencyTensor, basis: np.ndarray) -> np.ndarray:
-    """Tensor applied to every multiset of basis columns, one column each."""
-    k, n = tensor.order, tensor.dim
-    s = basis.shape[1]
-    multisets = np.array(
-        list(itertools.combinations_with_replacement(range(s), k - 1)),
-        dtype=np.intp,
-    ).reshape(-1, k - 1)
-    if multisets.shape[0] == 0:
-        return np.zeros((n, 0))
-    return _apply_multisets(tensor, basis, multisets.T)
+def _extend(basis: np.ndarray, cols: np.ndarray, cutoff: float) -> np.ndarray:
+    """``basis`` plus an orthonormal basis of what ``cols`` add to its span."""
+    norms = np.sqrt(np.einsum("ij,ij->j", cols, cols))
+    cols = cols[:, norms > 0] / norms[norms > 0]
+    if basis.shape[1]:
+        for _ in range(2):
+            cols -= basis @ (basis.T @ cols)
+    if np.einsum("ij,ij->", cols, cols) <= cutoff * cutoff:
+        return basis  # no singular value exceeds the Frobenius norm
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    return np.concatenate((basis, u[:, s > cutoff]), axis=1)
 
 
 def closure_basis(
     tensor: AdjacencyTensor,
     start: np.ndarray,
     tol: float | None = None,
+    *,
+    closed: np.ndarray | None = None,
 ) -> ReducedControllabilityMatrix:
     """Grow the span of ``start`` until it is closed under the tensor map.
 
     Accepts an arbitrary n x m starting matrix; the result depends only on
-    its column space, which lets callers warm-start from an already computed
-    basis plus extra columns.
+    its column space. ``closed`` is an orthonormal basis of a span that is
+    already closed; only the rounds that ``start`` adds to it are run.
+
+    Raises:
+        ValueError: ``tol`` is not in [0, 1), or a matrix lacks n rows.
     """
     n = tensor.dim
+    if tol is not None and not 0 <= tol < 1:
+        # a unit column leaves a residual of norm <= 1: a cutoff of 1 or more
+        # could drop the control columns themselves
+        raise ValueError(f"rank tolerance must lie in [0, 1), got {tol!r}")
+    cutoff = n * 1e-10 if tol is None else float(tol)
+    basis = np.zeros((n, 0)) if closed is None else np.asarray(closed, dtype=np.float64)
     start = np.asarray(start, dtype=np.float64)
-    if start.ndim != 2 or start.shape[0] != n:
-        raise ValueError(f"start matrix has shape {start.shape}, expected ({n}, m)")
-    basis, cutoff = _orthonormalize(start, tol)
+    for name, mat in (("start", start), ("closed", basis)):
+        if mat.ndim != 2 or mat.shape[0] != n:
+            raise ValueError(f"{name} matrix has shape {mat.shape}, expected ({n}, m)")
+    # columns below ``done`` had all their multisets applied; the rest are F
+    basis, done = _extend(basis, start, cutoff), basis.shape[1]
     rounds = 0
-    while rounds < n and 0 < basis.shape[1] < n:
-        new_cols = _expansion_columns(tensor, basis)
+    while done < basis.shape[1] < n:
         rounds += 1
-        expanded, cutoff = _orthonormalize(np.hstack([basis, new_cols]), tol)
-        stagnant = expanded.shape[1] == basis.shape[1]
-        basis = expanded
-        if stagnant:
-            break
+        width = max(1, _CHUNK_ENTRIES // max(1, tensor.kernel().coefs.size))
+        frozen = basis
+        ms = _frontier_multisets(frozen.shape[1], tensor.order - 1, done)
+        for lo in range(0, ms.shape[1], width):
+            cols = _apply_multisets(tensor, frozen, ms[:, lo : lo + width])
+            basis = _extend(basis, cols, cutoff)
+            if basis.shape[1] == n:
+                break
+        done = frozen.shape[1]
     return ReducedControllabilityMatrix(
         basis=basis,
         rank=basis.shape[1],

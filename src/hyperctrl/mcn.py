@@ -4,7 +4,6 @@ closed-form predictions for the named families, and connected components.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -149,17 +148,17 @@ def mcn_greedy(
     tol: float | None = None,
     tie_break: str = "degree",
     seed: int | None = None,
-    threads: int = 1,
 ) -> MCNResult:
     """Greedy control-node selection by maximum rank gain.
 
     Starting from the empty set, each step adds the node whose attachment
     raises the controllability rank the most. The rank for a candidate is
-    computed by warm-starting the subspace iteration from the current basis
-    plus the candidate's unit column, which yields the same subspace as a
-    cold start. Ties on the gain are broken by highest degree then lowest
-    index (``degree``), lowest index alone (``index``), or a seeded uniform
-    pick (``random``, requires ``seed``).
+    computed by warm-starting the closure from the current closed basis and
+    the candidate's unit column, which yields the same subspace as a cold
+    start; a candidate already in the span costs no round. Ties on the gain
+    are broken by highest degree then lowest index (``degree``), lowest index
+    alone (``index``), or a seeded uniform pick (``random``, requires
+    ``seed``).
 
     Raises:
         ValueError: no candidate raises the rank at the given tolerance.
@@ -177,16 +176,10 @@ def mcn_greedy(
     step = 0
     while rank < n:
         remaining = [j for j in range(1, n + 1) if j not in chosen]
-
-        def eval_candidate(j: int):
-            start = np.hstack([basis, ControlMatrix((j,)).matrix(n)])
-            return closure_basis(tensor, start, tol=tol)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(eval_candidate, remaining))
-        else:
-            results = [eval_candidate(j) for j in remaining]
+        results = [
+            closure_basis(tensor, ControlMatrix((j,)).matrix(n), tol=tol, closed=basis)
+            for j in remaining
+        ]
         gains = [res.rank - rank for res in results]
         best_gain = max(gains)
         if best_gain < 1:

@@ -2,10 +2,11 @@
 
 The oracles recompute results from first principles (dense arrays, literal
 definitions, exact rational arithmetic) so the sparse production paths are
-checked against genuinely independent implementations. ``lemma1_check`` is
-the exception: it tests the column-space lemma the closure relies on
-through the closure's own expansion step. ``entry`` and ``ttv_multi`` are
-small conveniences over the production storage and kernel.
+checked against genuinely independent implementations. ``lemma1_check``
+tests the column-space lemma the closure relies on through the contraction
+kernel and numpy's SVD alone, with none of the closure's own code. ``entry``
+and ``ttv_multi`` are small conveniences over the production storage and
+kernel.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from hyperctrl import AdjacencyTensor, Hypergraph
-from hyperctrl.controllability import _expansion_columns, _orthonormalize
 from hyperctrl.hypergraph import _splitmix64
 from hyperctrl.tensor import _apply_multisets
 
@@ -154,6 +154,21 @@ def exact_closure_rank(tensor: AdjacencyTensor, control_nodes) -> int:
     return len(basis)
 
 
+def multiset_columns(tensor: AdjacencyTensor, X: np.ndarray) -> np.ndarray:
+    """Tensor applied to every multiset of X's columns, one column each."""
+    ms = np.array(
+        list(itertools.combinations_with_replacement(range(X.shape[1]), tensor.order - 1)),
+        dtype=np.intp,
+    ).reshape(-1, tensor.order - 1)
+    return _apply_multisets(tensor, X, ms.T)
+
+
+def _svd_rank(mat: np.ndarray, cutoff: float) -> int:
+    if mat.shape[1] == 0:
+        return 0
+    return int(np.sum(np.linalg.svd(mat, compute_uv=False) > cutoff))
+
+
 def lemma1_check(
     tensor: AdjacencyTensor, X: np.ndarray, tol: float | None = None
 ) -> bool:
@@ -161,32 +176,25 @@ def lemma1_check(
     expansion column space.
 
     Compares the span of the tensor applied to multisets of X's columns with
-    the span obtained from the orthonormalized X, by checking that each rank
-    matches the rank of the concatenation.
+    the span obtained from X's left singular vectors, by checking that each
+    rank matches the rank of the concatenation. The default cutoff is
+    max(rows, cols) * eps * sigma_max; a given tol is an absolute cutoff.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != tensor.dim:
         raise ValueError(f"X has shape {X.shape}, expected ({tensor.dim}, m)")
-    u, _ = _orthonormalize(X, tol)
-    p = _expansion_columns(tensor, X)
-    q = _expansion_columns(tensor, u)
+    eps = np.finfo(np.float64).eps
+    u, s, _ = np.linalg.svd(X, full_matrices=False)
+    u = u[:, s > (tol if tol is not None else max(X.shape) * eps * s.max(initial=0.0))]
+    p = multiset_columns(tensor, X)
+    q = multiset_columns(tensor, u)
     both = np.hstack([p, q])
     if both.shape[1] == 0:
         return True
     sv = np.linalg.svd(both, compute_uv=False)
-    if tol is not None:
-        cutoff = tol
-    else:
-        cutoff = max(both.shape) * np.finfo(np.float64).eps * (sv[0] if sv.size else 0.0)
-
-    def rank_at(mat: np.ndarray) -> int:
-        if mat.shape[1] == 0:
-            return 0
-        vals = np.linalg.svd(mat, compute_uv=False)
-        return int(np.sum(vals > cutoff))
-
+    cutoff = tol if tol is not None else max(both.shape) * eps * sv.max(initial=0.0)
     r_both = int(np.sum(sv > cutoff))
-    return rank_at(p) == r_both and rank_at(q) == r_both
+    return _svd_rank(p, cutoff) == r_both and _svd_rank(q, cutoff) == r_both
 
 
 def membership_counts(graph: Hypergraph) -> np.ndarray:

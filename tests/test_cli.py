@@ -190,14 +190,25 @@ class TestTolerance:
         assert err.startswith(f"error: {source} must lie in [0, 1)")
 
     @pytest.mark.parametrize(
-        "graph",
-        [hg.hyperchain(12, 3), hg.hyperring(12, 3), hg.hyperstar(10, 3), hg.complete(6, 3)],
+        "graph, solved",
+        [
+            (hg.hyperchain(12, 3), None),
+            # the unit residuals the ring's picks keep all exceed 0.999, so a
+            # cutoff of 0.9 no longer stalls its search
+            (hg.hyperring(12, 3), (4, [1, 2, 5, 8])),
+            (hg.hyperstar(10, 3), None),
+            (hg.complete(6, 3), None),
+        ],
         ids=["chain-12-3", "ring-12-3", "star-10-3", "complete-6-3"],
     )
-    def test_no_rank_gain_names_tolerance(self, tmp_path, capsys, graph):
+    def test_no_rank_gain_names_tolerance(self, tmp_path, capsys, graph, solved):
         # below 1, but every candidate's new direction falls under the cutoff
         path = write_graph(tmp_path, hg.to_json_dict(graph))
         code, out, err = run(["mcn", path, "--tol", "0.9"], capsys)
+        if solved is not None:
+            doc = json.loads(out)
+            assert code == 0 and (doc["value"], doc["witness"]) == solved
+            return
         assert code == 2 and out == ""
         assert err.startswith("error: no candidate raises the rank")
         assert "tolerance 0.9" in err

@@ -126,12 +126,6 @@ class TestGreedy:
         with pytest.raises(ValueError, match="seed"):
             hc.mcn_greedy(A, tie_break="random")
 
-    def test_threads_do_not_change_output(self):
-        A = auto(random_hypergraph(9, 8, 4, density=0.5))
-        serial = hc.mcn_greedy(A, threads=1)
-        threaded = hc.mcn_greedy(A, threads=4)
-        assert serial.witness == threaded.witness
-
     def test_never_below_exact(self):
         for seed in range(20):
             g = random_hypergraph(seed, 7, 3, density=0.4)
@@ -144,6 +138,22 @@ class TestGreedy:
             g = random_hypergraph(seed + 50, 8, 4, density=0.5)
             res = hc.mcn_greedy(auto(g))
             assert hc.verdict(auto(g), hc.ControlMatrix(res.witness)).full
+
+
+@pytest.mark.parametrize("tol", [2.0, float("nan")])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        hc.mcn_exact,
+        hc.mcn_greedy,
+        lambda A, tol: hc.verdict(A, hc.ControlMatrix((1, 2)), tol=tol),
+    ],
+    ids=["mcn_exact", "mcn_greedy", "verdict"],
+)
+def test_tolerance_outside_unit_interval_rejected(solve, tol):
+    # the library refuses what the CLI refuses, instead of a None value or rank 0
+    with pytest.raises(ValueError, match=r"rank tolerance must lie in \[0, 1\)"):
+        solve(auto(hc.hyperchain(6, 3)), tol=tol)
 
 
 class TestPredicted:
