@@ -3,9 +3,12 @@
 The controllability subspace is the closure of the control columns' span
 under the tensor map. It grows in frontier (semi-naive) rounds: a round
 applies the tensor only to the multisets of basis columns that hold a column
-added in the round before. Each result is scaled to unit norm and projected
-out of the basis twice, and an SVD of that residual keeps the singular
-values above the cutoff. The rounds stop at rank n or when one adds nothing.
+added in the round before. A result whose norm is at or under a rounding
+floor (n * 4 * eps times the tensor's cached scale, see ``_Kernel``) is
+dropped as rounding noise. Every other result is scaled to unit norm and
+projected out of the basis twice, and an SVD of that residual keeps the
+singular values above the cutoff. The rounds stop at rank n or when one
+adds nothing.
 ``closure_basis`` is the one way in for ``verdict`` and the MCN searches.
 """
 from __future__ import annotations
@@ -16,7 +19,13 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor import _CHUNK_ENTRIES, AdjacencyTensor, ControlMatrix, _apply_multisets
+from .tensor import AdjacencyTensor, ControlMatrix, _apply_multisets
+
+# A round hands its multiset columns to ``_extend`` in groups of at most this
+# many (kernel rows x columns) products. The grouping decides which residuals
+# share an SVD, and so every bit of the basis; the contraction bounds its own
+# working set with ``tensor._CHUNK_ENTRIES``.
+_GROUP_ENTRIES = 1 << 22
 
 
 class VerdictKind(Enum):
@@ -31,6 +40,10 @@ class ReducedControllabilityMatrix:
     ``rank`` equals the column count of ``basis``; ``iterations`` counts the
     frontier rounds executed; ``tolerance`` is the cutoff on the singular
     values of unit-scaled residuals (n * 1e-10 unless the caller sets one).
+    Before that cutoff applies, a contracted column at or under the rounding
+    floor n * 4 * eps * scale is dropped, where scale bounds the tensor
+    applied to unit columns; the floor grows with the weights, so the rank
+    does not depend on their scale.
     """
 
     basis: np.ndarray
@@ -56,10 +69,17 @@ def _frontier_multisets(s: int, m: int, lo: int) -> np.ndarray:
     return np.array(sets, dtype=np.intp).reshape(-1, m).T.copy()
 
 
-def _extend(basis: np.ndarray, cols: np.ndarray, cutoff: float) -> np.ndarray:
-    """``basis`` plus an orthonormal basis of what ``cols`` add to its span."""
+def _extend(
+    basis: np.ndarray, cols: np.ndarray, cutoff: float, floor: float = 0.0
+) -> np.ndarray:
+    """``basis`` plus an orthonormal basis of what ``cols`` add to its span.
+
+    Columns whose norm is at or under ``floor`` are dropped before the unit
+    scaling, so that rounding noise is never scaled up into a direction.
+    """
     norms = np.sqrt(np.einsum("ij,ij->j", cols, cols))
-    cols = cols[:, norms > 0] / norms[norms > 0]
+    keep = norms > floor
+    cols = cols[:, keep] / norms[keep]
     if basis.shape[1]:
         for _ in range(2):
             cols -= basis @ (basis.T @ cols)
@@ -101,12 +121,17 @@ def closure_basis(
     rounds = 0
     while done < basis.shape[1] < n:
         rounds += 1
-        width = max(1, _CHUNK_ENTRIES // max(1, tensor.kernel().coefs.size))
+        kern = tensor.kernel()
+        width = max(1, _GROUP_ENTRIES // max(1, kern.coefs.size))
+        # a contracted column this small is within the rounding error of the
+        # tensor applied to unit columns; scaled to unit norm it would pass
+        # the cutoff as a direction that is not there
+        floor = n * 4 * np.finfo(np.float64).eps * kern.scale
         frozen = basis
         ms = _frontier_multisets(frozen.shape[1], tensor.order - 1, done)
         for lo in range(0, ms.shape[1], width):
             cols = _apply_multisets(tensor, frozen, ms[:, lo : lo + width])
-            basis = _extend(basis, cols, cutoff)
+            basis = _extend(basis, cols, cutoff, floor)
             if basis.shape[1] == n:
                 break
         done = frozen.shape[1]

@@ -3,7 +3,6 @@ closed-form predictions for the named families, and connected components.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,12 +102,24 @@ def mcn_exact(
 ) -> MCNResult:
     """Smallest control set by exhaustive search.
 
-    Subset sizes are tried in increasing order and, within a size, subsets in
-    lexicographic order; the first full-rank subset wins. Subsets that leave
-    some connected component uncontrolled are skipped (such a component's
-    coordinates can never enter the span). With ``all_witnesses`` the pass
-    over the minimum size runs to its end and collects every full-rank
-    subset.
+    Subset sizes m are tried in increasing order and, within a size, subsets
+    in lexicographic order; the first full-rank subset wins. The subsets of
+    one size are walked depth first: a prefix P is extended by one node j >
+    last(P) at a time, and the child's closure is warm-started from P's, so
+    each prefix is closed once. A branch is pruned when
+
+    - e_j already lies in closure(P) (the child's rank equals P's): every
+      m-subset below it has the closure of one of size m - 1, and all of
+      those were rejected;
+    - the closure of P with every node after last(P) is not full: the
+      closure grows with its start set, so no subset below P is full;
+    - the connected components P leaves uncovered outnumber its free
+      slots: an uncovered component's coordinates never enter the span.
+
+    No pruned branch holds a full-rank subset, so the walk meets the full
+    ones in the same lexicographic order as the plain enumeration: the
+    witness is the same, and with ``all_witnesses`` the walk over the
+    minimum size runs to its end and collects every full-rank subset.
 
     Raises:
         ExactSearchGuardError: n exceeds ``guard``; use the greedy search.
@@ -121,18 +132,32 @@ def mcn_exact(
         )
     comp_ids = _tensor_component_ids(tensor)
     n_comps = int(comp_ids.max()) + 1 if n else 0
-    all_ids = frozenset(range(n_comps))
-    for m in range(1, n + 1):
-        if m < n_comps:
-            continue
-        found = []
-        for subset in itertools.combinations(range(1, n + 1), m):
-            if {comp_ids[j - 1] for j in subset} != all_ids:
+    eye = np.eye(n)
+
+    def full_sets(m: int, prefix: tuple, basis: np.ndarray):
+        # full-rank m-subsets below ``prefix``, in lexicographic order
+        free = m - len(prefix)
+        last = prefix[-1] if prefix else 0
+        if prefix and closure_basis(tensor, eye[:, last:], tol=tol, closed=basis).rank < n:
+            return
+        for j in range(last + 1, n - free + 2):
+            child = prefix + (j,)
+            if n_comps - len({comp_ids[i - 1] for i in child}) > free - 1:
                 continue
-            if closure_basis(tensor, ControlMatrix(subset).matrix(n), tol=tol).rank == n:
-                found.append(subset)
-                if not all_witnesses:
-                    break
+            res = closure_basis(tensor, eye[:, j - 1 : j], tol=tol, closed=basis)
+            if res.rank == basis.shape[1]:
+                continue
+            if free > 1:
+                yield from full_sets(m, child, res.basis)
+            elif res.rank == n:
+                yield child
+
+    for m in range(max(1, n_comps), n + 1):
+        found = []
+        for subset in full_sets(m, (), np.zeros((n, 0))):
+            found.append(subset)
+            if not all_witnesses:
+                break
         if found:
             return MCNResult(
                 value=m,

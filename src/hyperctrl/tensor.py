@@ -44,19 +44,25 @@ class _Kernel:
     ``slots[l]`` holds the node feeding slot l and ``coefs`` the per-tuple
     coefficient. The rows sharing an output index form one segment;
     ``starts`` gives each segment's first row and ``targets`` its output
-    index.
+    index. ``scale`` is the 2-norm of the per-segment sums of |coef|: it
+    bounds the norm of the tensor applied to unit-norm columns, and so
+    sets the size of the rounding noise in a contracted column.
     """
 
     starts: np.ndarray   # (S,) first kernel row of each segment
     targets: np.ndarray  # (S,) 0-based output row of each segment, ascending
     slots: np.ndarray    # (k-1, R) 0-based node index per slot
     coefs: np.ndarray    # (R,)
+    scale: float
 
 
 # Cap on the (kernel rows x columns) products held at once: the multiset
 # columns are contracted in chunks of at most this many products, or of a
-# single column when one column alone needs more.
-_CHUNK_ENTRIES = 1 << 22
+# single column when one column alone needs more. A product array of
+# 128 KiB stays in cache and is reused from the heap; arrays of up to 32 MiB
+# (1 << 22 products) were mapped fresh from the OS and page-faulted on every
+# call, which made the contraction memory-bound.
+_CHUNK_ENTRIES = 1 << 14
 
 
 def _apply_multisets(
@@ -144,13 +150,15 @@ def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
     order = np.argsort(row_arr, kind="stable")
     sorted_rows = row_arr[order]
     starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
+    coef_arr = np.ascontiguousarray(np.asarray(coefs, dtype=np.float64)[order])
     return _Kernel(
         starts=starts,
         targets=sorted_rows[starts],
         slots=np.ascontiguousarray(
             np.asarray(slot_idx, dtype=np.intp).reshape(k - 1, -1)[:, order]
         ),
-        coefs=np.ascontiguousarray(np.asarray(coefs, dtype=np.float64)[order]),
+        coefs=coef_arr,
+        scale=float(np.linalg.norm(np.add.reduceat(np.abs(coef_arr), starts))),
     )
 
 

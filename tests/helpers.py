@@ -4,9 +4,10 @@ The oracles recompute results from first principles (dense arrays, literal
 definitions, exact rational arithmetic) so the sparse production paths are
 checked against genuinely independent implementations. ``lemma1_check``
 tests the column-space lemma the closure relies on through the contraction
-kernel and numpy's SVD alone, with none of the closure's own code. ``entry``
-and ``ttv_multi`` are small conveniences over the production storage and
-kernel.
+kernel and numpy's SVD alone, with none of the closure's own code.
+``exact_mcn_reference`` is the plain exhaustive search that the pruned one
+must agree with. ``entry`` and ``ttv_multi`` are small conveniences over the
+production storage and kernel.
 """
 from __future__ import annotations
 
@@ -14,9 +15,11 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
-from hyperctrl import AdjacencyTensor, Hypergraph
+from hyperctrl import AdjacencyTensor, ControlMatrix, Hypergraph, MCNResult, closure_basis
 from hyperctrl.hypergraph import _splitmix64
+from hyperctrl.mcn import _tensor_component_ids
 from hyperctrl.tensor import _apply_multisets
 
 # Dense materialization allocates n^k entries; refuse anything above this.
@@ -152,6 +155,58 @@ def exact_closure_rank(tensor: AdjacencyTensor, control_nodes) -> int:
                 break
         t += 1
     return len(basis)
+
+
+def max_eigen_multiplicity(tensor: AdjacencyTensor) -> int:
+    """Largest multiplicity of an eigenvalue of an order-2 tensor, exactly.
+
+    Every float entry converts to a rational exactly, and the multiplicity
+    is the largest exponent in the factorization of the characteristic
+    polynomial over the rationals. The matrix is symmetric, so algebraic and
+    geometric multiplicities agree; by the PBH test no fewer than this many
+    input columns make the pair (A, B) controllable.
+    """
+    if tensor.order != 2:
+        raise ValueError(f"eigenvalue multiplicity needs order 2, got {tensor.order}")
+    n = tensor.dim
+    mat = sympy.zeros(n, n)
+    for (i, j), coef in tensor.entries.items():
+        mat[i - 1, j - 1] = mat[j - 1, i - 1] = sympy.Rational(coef)
+    lam = sympy.Symbol("lam")
+    _, factors = sympy.factor_list(mat.charpoly(lam).as_expr())
+    return max(power for _, power in factors)
+
+
+def exact_mcn_reference(
+    tensor: AdjacencyTensor, tol: float | None = None, all_witnesses: bool = False
+) -> MCNResult:
+    """Exhaustive search that closes every subset cold, in plain order.
+
+    Sizes in increasing order and, within a size, subsets in lexicographic
+    order; a subset that leaves a connected component uncovered is skipped.
+    The first full-rank subset wins, or with ``all_witnesses`` every one of
+    the minimum size.
+    """
+    n = tensor.dim
+    comp_ids = _tensor_component_ids(tensor)
+    all_ids = frozenset(comp_ids.tolist())
+    for m in range(1, n + 1):
+        found = []
+        for subset in itertools.combinations(range(1, n + 1), m):
+            if {comp_ids[j - 1] for j in subset} != all_ids:
+                continue
+            if closure_basis(tensor, ControlMatrix(subset).matrix(n), tol=tol).rank == n:
+                found.append(subset)
+                if not all_witnesses:
+                    break
+        if found:
+            return MCNResult(
+                value=m,
+                witness=found[0],
+                method="exact",
+                all_witnesses=tuple(found) if all_witnesses else None,
+            )
+    return MCNResult(value=None, witness=(), method="exact")
 
 
 def multiset_columns(tensor: AdjacencyTensor, X: np.ndarray) -> np.ndarray:

@@ -270,6 +270,48 @@ class TestExactOracle:
         assert got == want
 
 
+class TestRoundingFloor:
+    """A contracted column that is zero in exact arithmetic but carries
+    rounding noise (norm about 1e-15) must not be scaled up to a unit
+    direction: its residual would pass the cutoff and overshoot the rank."""
+
+    def test_cold_closure_drops_a_noise_column(self):
+        A = hc.adjacency_auto(hc.random_uniform(8, 3, 0.1, 9))
+        assert exact_closure_rank(A, (1, 6, 7)) == 7
+        assert closure_of(A, (1, 6, 7)).rank == 7
+
+    def test_warm_closure_drops_a_noise_column(self):
+        A = hc.adjacency_auto(hc.random_uniform(8, 2, 0.25, 17))
+        first = closure_of(A, (1,))
+        warm = closure_basis(A, hc.ControlMatrix((5,)).matrix(8), closed=first.basis)
+        assert exact_closure_rank(A, (1, 5)) == 7
+        assert warm.rank == 7
+
+    def test_floor_keeps_a_light_edge(self):
+        # e5 enters only through the edge {3, 4, 5}; its column is genuine
+        # however light the edge, and the floor sits about 1e-14 below the
+        # tensor's scale, so weight 1e-12 keeps it
+        A = hc.adjacency_auto(hc.Hypergraph(5, ((1, 2, 3), (3, 4, 5)), weights=(1.0, 1e-12)))
+        assert exact_closure_rank(A, (1, 2, 4)) == 5
+        assert closure_of(A, (1, 2, 4)).rank == 5
+
+    def test_warm_chains_match_exact_rank(self):
+        # every 2-subset {a, b}, closed as {a} and then warm-extended by b
+        wrong = []
+        for k, density in ((2, 0.25), (2, 0.4), (3, 0.1)):
+            for seed in range(1, 18):
+                A = hc.adjacency_auto(hc.random_uniform(8, k, density, seed))
+                single = [closure_of(A, (a,)) for a in range(1, 9)]
+                for a, b in itertools.combinations(range(1, 9), 2):
+                    got = closure_basis(
+                        A, hc.ControlMatrix((b,)).matrix(8), closed=single[a - 1].basis
+                    ).rank
+                    want = exact_closure_rank(A, (a, b))
+                    if got != want:
+                        wrong.append((k, density, seed, a, b, got, want))
+        assert wrong == []
+
+
 class TestVerdict:
     def test_even_order_full(self):
         A = hc.adjacency_auto(hc.complete(4, 4))

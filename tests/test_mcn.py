@@ -8,7 +8,14 @@ import hyperctrl as hc
 from hyperctrl import mcn as mcn_mod
 from hyperctrl.mcn import ExactSearchGuardError, mcn_predicted
 
-from helpers import random_hypergraph, random_mixed_hypergraph
+from helpers import (
+    exact_closure_rank,
+    exact_mcn_reference,
+    max_eigen_multiplicity,
+    random_hypergraph,
+    random_mixed_hypergraph,
+    seeded_floats,
+)
 
 
 def auto(graph):
@@ -63,13 +70,100 @@ class TestExact:
 
         monkeypatch.setattr(mcn_mod, "closure_basis", counting_closure)
         res = hc.mcn_exact(auto(hc.complete(4, 4)), all_witnesses=True)
-        # one lexicographic pass: each subset of size 1, 2 and 3 closed once
-        assert len(calls) == 4 + 6 + 4
+        # one depth-first walk per size; a prefix costs its warm closure plus
+        # its completion bound: size 1 closes 4 leaves, size 2 3 prefixes and
+        # 5 leaves ((3)'s bound cuts {3, 4}), size 3 5 prefixes and 4 leaves
+        assert len(calls) == 4 + (6 + 5) + (10 + 4)
         assert res.all_witnesses is not None
         # every 3-subset of a single 4-edge works
         assert len(res.all_witnesses) == 4
         for w in res.all_witnesses:
             assert hc.verdict(auto(hc.complete(4, 4)), hc.ControlMatrix(w)).full
+
+
+def reference_grid():
+    """Family, random, weighted mixed-cardinality and disconnected graphs."""
+    for n in range(5, 10):
+        for k in (3, 4):
+            yield f"chain-{n}-{k}", hc.hyperchain(n, k)
+            yield f"ring-{n}-{k}", hc.hyperring(n, k)
+            if n < 9:
+                yield f"star-{n}-{k}", hc.hyperstar(n, k)
+            if n < 8:
+                yield f"complete-{n}-{k}", hc.complete(n, k)
+    for k, density in ((2, 0.3), (3, 0.15), (4, 0.05)):
+        for seed in range(1, 7):
+            n = 6 + seed % 3
+            yield f"random-{n}-{k}-{seed}", hc.random_uniform(n, k, density, seed)
+    for seed in range(1, 7):
+        g = random_mixed_hypergraph(seed, 6 + seed % 2, 4)
+        weights = tuple(seeded_floats(seed, len(g.edges), lo=0.5, hi=4.0))
+        yield f"mixed-{seed}", hc.Hypergraph(g.n, g.edges, weights=weights)
+    yield "disconnected", hc.Hypergraph(9, ((1, 2, 3), (2, 3, 4), (5, 6, 7)))
+
+
+REFERENCE_GRID = dict(reference_grid())
+
+
+class TestExactMatchesReference:
+    """The depth-first search with warm starts and prunes returns what
+    closing every subset cold in lexicographic order returns."""
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GRID))
+    def test_value_witness_and_all_witnesses(self, name):
+        A = auto(REFERENCE_GRID[name])
+        assert hc.mcn_exact(A, all_witnesses=True) == exact_mcn_reference(A, all_witnesses=True)
+        assert hc.mcn_exact(A) == exact_mcn_reference(A)
+
+    def test_noise_column_is_no_witness(self):
+        # closure({1, 6, 7}) has exact rank 7 of 8; a rounding-noise column
+        # scaled to unit norm once made it full and listed it as a witness
+        A = auto(hc.random_uniform(8, 3, 0.1, 9))
+        assert exact_closure_rank(A, (1, 6, 7)) == 7
+        res = hc.mcn_exact(A, all_witnesses=True)
+        assert res.value == 3
+        assert (1, 6, 7) not in res.all_witnesses
+        assert all(exact_closure_rank(A, w) == 8 for w in res.all_witnesses)
+
+
+class TestOrderTwoMultiplicityBound:
+    """At k = 2 no fewer control nodes than the largest eigenvalue
+    multiplicity of A will do (PBH test). It is a lower bound only: the
+    bound allows any input columns, the search unit columns."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_closed_forms(self, n):
+        complete = auto(hc.complete(n, 2))
+        star = auto(hc.hyperstar(n, 2))
+        cycle = auto(hc.hyperring(n, 2))
+        assert max_eigen_multiplicity(complete) == n - 1 == mcn_predicted("complete", n, 2)
+        assert max_eigen_multiplicity(star) == n - 2 == mcn_predicted("star", n, 2)
+        assert max_eigen_multiplicity(cycle) == 2
+        assert hc.mcn_exact(complete).value == n - 1
+        assert hc.mcn_exact(star).value == n - 2
+        assert hc.mcn_exact(cycle).value == 2
+
+    def test_bound_below_exact_per_component(self):
+        components = 0
+        for seed in range(1, 31):
+            g = hc.random_uniform(6 + seed % 4, 2, 0.25, seed)
+            for comp in hc.connected_components(g):
+                A = auto(comp.hypergraph)
+                assert max_eigen_multiplicity(A) <= hc.mcn_exact(A).value, (seed, comp.nodes)
+                components += 1
+        assert components >= 60
+
+    def test_bound_is_not_the_unit_column_minimum(self):
+        A = auto(hc.Hypergraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))))
+        assert max_eigen_multiplicity(A) == 1
+        assert hc.mcn_exact(A).value == 2
+
+    @pytest.mark.parametrize("n, density, seed", [(40, 0.05, 1), (50, 0.04, 2), (60, 0.03, 3)])
+    def test_bound_below_greedy(self, n, density, seed):
+        A = auto(hc.random_uniform(n, 2, density, seed))
+        mu = max_eigen_multiplicity(A)
+        assert mu > 1
+        assert mu <= hc.mcn_greedy(A).value
 
 
 class TestGreedy:

@@ -19,6 +19,7 @@ from helpers import (
     dense_ttv,
     entry,
     random_hypergraph,
+    random_mixed_hypergraph,
     seeded_floats,
     ttv_multi,
 )
@@ -130,6 +131,26 @@ class TestTtv:
         for c in range(ms.shape[1]):
             args = [basis[:, ms[0, c]], basis[:, ms[1, c]]]
             assert batch[:, c] == pytest.approx(ttv_multi(A, args), abs=1e-14)
+
+    def test_kernel_scale_is_the_norm_of_the_row_sums_of_abs_coefs(self):
+        # the rounding floor of the closure rests on this bound
+        weighted = random_mixed_hypergraph(4, 6, 4)
+        weighted = hc.Hypergraph(
+            6, weighted.edges, weights=tuple(seeded_floats(4, len(weighted.edges), 0.1, 5.0))
+        )
+        for g in (random_hypergraph(2, 6, 3, density=0.5), hc.hyperstar(6, 2), weighted):
+            A = hc.adjacency_auto(g)
+            dense = np.abs(dense_tensor(A)).reshape(A.dim, -1)
+            assert A.kernel().scale == pytest.approx(
+                np.linalg.norm(dense.sum(axis=1)), rel=1e-13
+            )
+        # signed entries: the sums are of |coef|, so terms never cancel
+        signed = hc.AdjacencyTensor(
+            order=3, dim=3, entries={(1, 1, 2): 1.0, (1, 2, 2): -1.0, (2, 2, 3): -2.0}
+        )
+        dense = np.abs(dense_tensor(signed)).reshape(3, -1)
+        assert signed.kernel().scale == pytest.approx(np.linalg.norm(dense.sum(axis=1)), rel=1e-13)
+        assert hc.AdjacencyTensor(order=3, dim=4, entries={}).kernel().scale == 0.0
 
 
 @st.composite
