@@ -117,16 +117,19 @@ def cmd_generate(args) -> int:
 
 
 def _solve_by_component(graph: hg.Hypergraph, solve) -> dict:
-    """Solve each connected component's tensor and add up the minima.
+    """Solve each connected component of the graph's one tensor and add up
+    the minima.
 
-    Witnesses and rank traces are mapped back to the graph's labels; the
-    total is None when some component has no controlling set.
+    Every component is the whole tensor restricted to its nodes, so it keeps
+    the graph's order k. Witnesses and rank traces are mapped back to the
+    graph's labels; the total is None when some component has no
+    controlling set.
     """
     per_component = []
     total: int | None = 0
     witness: list[int] = []
-    for comp in connected_components(graph):
-        result = solve(hg.adjacency_auto(comp.hypergraph))
+    for comp in connected_components(hg.adjacency_auto(graph)):
+        result = solve(comp.tensor)
         mapped_witness = sorted(comp.nodes[j - 1] for j in result.witness)
         entry = {
             "nodes": list(comp.nodes),
@@ -238,7 +241,10 @@ def _load_schedule(path: str, m: int) -> InputSchedule:
             values.append([float(tok) for tok in row[1:]])
         except ValueError as exc:
             raise _FileError(f"{path}: line {lineno}: {exc}") from None
-    return InputSchedule(tuple(times), np.array(values))
+    try:
+        return InputSchedule(tuple(times), np.array(values))
+    except ValueError as exc:
+        raise _FileError(f"{path}: {exc}") from None
 
 
 def cmd_bench(args) -> int:

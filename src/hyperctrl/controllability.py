@@ -3,12 +3,12 @@
 The controllability subspace is the closure of the control columns' span
 under the tensor map. It grows in frontier (semi-naive) rounds: a round
 applies the tensor only to the multisets of basis columns that hold a column
-added in the round before. A result whose norm is at or under a rounding
-floor (n * 4 * eps times the tensor's cached scale, see ``_Kernel``) is
-dropped as rounding noise. Every other result is scaled to unit norm and
-projected out of the basis twice, and an SVD of that residual keeps the
-singular values above the cutoff. The rounds stop at rank n or when one
-adds nothing.
+added in the round before. Each result is divided by the tensor's cached
+scale (see ``_Kernel``), and one whose norm is then at or under the rounding
+floor n * 4 * eps is dropped as rounding noise. Every other result is scaled
+to unit norm and projected out of the basis twice, and an SVD of that
+residual keeps the singular values above the cutoff. The rounds stop at rank
+n or when one adds nothing.
 ``closure_basis`` is the one way in for ``verdict`` and the MCN searches.
 """
 from __future__ import annotations
@@ -40,10 +40,10 @@ class ReducedControllabilityMatrix:
     ``rank`` equals the column count of ``basis``; ``iterations`` counts the
     frontier rounds executed; ``tolerance`` is the cutoff on the singular
     values of unit-scaled residuals (n * 1e-10 unless the caller sets one).
-    Before that cutoff applies, a contracted column at or under the rounding
-    floor n * 4 * eps * scale is dropped, where scale bounds the tensor
-    applied to unit columns; the floor grows with the weights, so the rank
-    does not depend on their scale.
+    Before that cutoff applies, every contracted column is divided by a
+    scale that bounds the tensor applied to unit columns, and one at or
+    under the rounding floor n * 4 * eps is dropped; relative to the scale,
+    the floor does not depend on the weights, nor does the rank.
     """
 
     basis: np.ndarray
@@ -122,15 +122,18 @@ def closure_basis(
     while done < basis.shape[1] < n:
         rounds += 1
         kern = tensor.kernel()
+        if not kern.scale:
+            break  # every coefficient is zero, and so is every column
         width = max(1, _GROUP_ENTRIES // max(1, kern.coefs.size))
-        # a contracted column this small is within the rounding error of the
-        # tensor applied to unit columns; scaled to unit norm it would pass
-        # the cutoff as a direction that is not there
-        floor = n * 4 * np.finfo(np.float64).eps * kern.scale
+        # a contracted column this small next to the tensor's scale is within
+        # the rounding error of the tensor applied to unit columns; scaled to
+        # unit norm it would pass the cutoff as a direction that is not there
+        floor = n * 4 * np.finfo(np.float64).eps
         frozen = basis
         ms = _frontier_multisets(frozen.shape[1], tensor.order - 1, done)
         for lo in range(0, ms.shape[1], width):
-            cols = _apply_multisets(tensor, frozen, ms[:, lo : lo + width])
+            # divided by the scale, no column norm is squared out of range
+            cols = _apply_multisets(tensor, frozen, ms[:, lo : lo + width]) / kern.scale
             basis = _extend(basis, cols, cutoff, floor)
             if basis.shape[1] == n:
                 break

@@ -5,7 +5,9 @@ A hypergraph maps to one order-k adjacency tensor, k the largest edge
 cardinality: an edge of cardinality s fills every length-k index multiset
 that uses each of its nodes, with a per-tuple coefficient chosen so node
 degrees are preserved. On uniform input that is weight/(k-1)! on the tuples
-of each edge.
+of each edge. The graph's connected components are restrictions of that one
+tensor (``mcn.connected_components``), so a component whose edges are all
+smaller than the largest edge still has order k.
 
 The chain, ring and star families have one builder, ``overlap_variant``:
 consecutive edges share r nodes, and the plain families are its r = k-1
@@ -158,6 +160,19 @@ def _check_nk(n: int, k: int):
         raise ValueError(f"need n >= k, got n={n}, k={k}")
 
 
+# Cap on the k-subsets of n nodes that one call enumerates: ``complete``,
+# ``random_uniform`` and ingest's tuple scoring all refuse more.
+MAX_TUPLES = 10**7
+
+
+def _check_tuple_count(n: int, k: int, advice: str):
+    total = math.comb(n, k)
+    if total > MAX_TUPLES:
+        raise ValueError(
+            f"C({n}, {k}) = {total} tuples exceeds the {MAX_TUPLES} guard; {advice}"
+        )
+
+
 def hyperchain(n: int, k: int) -> Hypergraph:
     """Chain of n nodes where every k consecutive nodes form an edge."""
     _check_nk(n, k)
@@ -179,6 +194,7 @@ def hyperstar(n: int, k: int) -> Hypergraph:
 def complete(n: int, k: int) -> Hypergraph:
     """All C(n, k) edges."""
     _check_nk(n, k)
+    _check_tuple_count(n, k, "use fewer nodes")
     return Hypergraph(n=n, edges=tuple(itertools.combinations(range(1, n + 1), k)))
 
 
@@ -252,6 +268,7 @@ def random_uniform(n: int, k: int, density: float, seed: int) -> Hypergraph:
     _check_nk(n, k)
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
+    _check_tuple_count(n, k, "use fewer nodes")
     seed &= _MASK64
     edges = []
     for counter, edge in enumerate(itertools.combinations(range(1, n + 1), k)):

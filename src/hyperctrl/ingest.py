@@ -15,10 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph
-
-# All-tuple enumeration cap; covers the intended recording sizes with room.
-MAX_TUPLES = 10**7
+from .hypergraph import Hypergraph, _check_tuple_count
 
 
 @dataclass(frozen=True)
@@ -93,12 +90,7 @@ def build_hypergraph(series: TimeSeriesMatrix, k: int, threshold: float) -> Hype
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     if k < 2 or k > series.n:
         raise ValueError(f"need 2 <= k <= {series.n}, got k={k}")
-    total = math.comb(series.n, k)
-    if total > MAX_TUPLES:
-        raise ValueError(
-            f"C({series.n}, {k}) = {total} tuples exceeds the {MAX_TUPLES} "
-            "guard; subsample the channels first"
-        )
+    _check_tuple_count(series.n, k, "subsample the channels first")
     edges = []
     for nodes in itertools.combinations(range(1, series.n + 1), k):
         if multi_correlation(series, nodes) > threshold:

@@ -1,5 +1,6 @@
 """Minimum control node search: exhaustive oracle, greedy heuristic,
-closed-form predictions for the named families, and connected components.
+closed-form predictions for the named families, and the split of a tensor
+into its connected components.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .controllability import closure_basis
-from .hypergraph import Hypergraph, _splitmix64, _tiles, degrees
+from .hypergraph import _splitmix64, _tiles, degrees
 from .tensor import AdjacencyTensor, ControlMatrix
 
 
@@ -35,14 +36,19 @@ class MCNResult:
 
 
 class Component(NamedTuple):
-    """A connected piece: original node labels plus the relabeled subgraph."""
+    """A connected piece of a tensor: the piece's node labels in the whole
+    tensor, and the whole tensor restricted to them. The restriction keeps
+    the order k and relabels the nodes 1..m in increasing order."""
 
     nodes: tuple
-    hypergraph: Hypergraph
+    tensor: AdjacencyTensor
 
 
-def _union_find_components(n: int, supports) -> list[tuple]:
-    parent = list(range(n + 1))
+def _component_ids(tensor: AdjacencyTensor) -> list[int]:
+    """Component id of each node (node j at index j-1), by union-find over
+    the stored patterns; ids count up in order of each component's lowest
+    node."""
+    parent = list(range(tensor.dim + 1))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -50,48 +56,32 @@ def _union_find_components(n: int, supports) -> list[tuple]:
             a = parent[a]
         return a
 
-    for nodes in supports:
-        nodes = sorted(set(nodes))
-        for other in nodes[1:]:
-            ra, rb = find(nodes[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict = {}
-    for j in range(1, n + 1):
-        groups.setdefault(find(j), []).append(j)
-    return sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
+    for pattern in tensor.entries:
+        root = find(pattern[0])
+        for other in pattern[1:]:
+            parent[find(other)] = root
+    ids: dict = {}
+    return [ids.setdefault(find(j), len(ids)) for j in range(1, tensor.dim + 1)]
 
 
-def connected_components(graph: Hypergraph) -> list[Component]:
-    """Partition by hyperedge reachability; isolated nodes become singletons."""
-    groups = _union_find_components(graph.n, graph.edges)
-    components = []
-    for nodes in groups:
-        relabel = {j: i + 1 for i, j in enumerate(nodes)}
-        member = set(nodes)
-        sub_edges = []
-        sub_weights = []
-        for idx, edge in enumerate(graph.edges):
-            if edge[0] in member:
-                sub_edges.append(tuple(relabel[j] for j in edge))
-                sub_weights.append(graph.edge_weight(idx))
-        sub = Hypergraph(
-            n=len(nodes),
-            edges=tuple(sub_edges),
-            weights=tuple(sub_weights) if graph.weights is not None else None,
-        )
-        components.append(Component(nodes=nodes, hypergraph=sub))
-    return components
-
-
-def _tensor_component_ids(tensor: AdjacencyTensor) -> np.ndarray:
-    """Component id per node (1-based positions 1..n at indices 0..n-1)."""
-    groups = _union_find_components(tensor.dim, tensor.entries.keys())
-    ids = np.zeros(tensor.dim, dtype=np.intp)
-    for cid, nodes in enumerate(groups):
-        for j in nodes:
-            ids[j - 1] = cid
-    return ids
+def connected_components(tensor: AdjacencyTensor) -> list[Component]:
+    """Split a graph's one tensor by pattern reachability; a node in no
+    pattern is a singleton. Each piece is the tensor restricted to one
+    component (see ``Component``), with the coefficients of its patterns as
+    they are; pieces come in order of their lowest node."""
+    ids = _component_ids(tensor)
+    groups: list[list[int]] = [[] for _ in range(max(ids) + 1)]
+    label = []
+    for j, cid in enumerate(ids, start=1):
+        groups[cid].append(j)
+        label.append(len(groups[cid]))
+    entries: list[dict] = [{} for _ in groups]
+    for pattern, coef in tensor.entries.items():
+        entries[ids[pattern[0] - 1]][tuple(label[j - 1] for j in pattern)] = coef
+    return [
+        Component(tuple(nodes), AdjacencyTensor(tensor.order, len(nodes), part))
+        for nodes, part in zip(groups, entries)
+    ]
 
 
 def mcn_exact(
@@ -130,8 +120,8 @@ def mcn_exact(
             f"exhaustive search over {n} nodes exceeds the guard of {guard}; "
             "raise the guard explicitly or use mcn_greedy"
         )
-    comp_ids = _tensor_component_ids(tensor)
-    n_comps = int(comp_ids.max()) + 1 if n else 0
+    comp_ids = _component_ids(tensor)
+    n_comps = max(comp_ids) + 1
     eye = np.eye(n)
 
     def full_sets(m: int, prefix: tuple, basis: np.ndarray):

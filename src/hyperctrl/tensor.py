@@ -44,9 +44,10 @@ class _Kernel:
     ``slots[l]`` holds the node feeding slot l and ``coefs`` the per-tuple
     coefficient. The rows sharing an output index form one segment;
     ``starts`` gives each segment's first row and ``targets`` its output
-    index. ``scale`` is the 2-norm of the per-segment sums of |coef|: it
-    bounds the norm of the tensor applied to unit-norm columns, and so
-    sets the size of the rounding noise in a contracted column.
+    index. ``scale`` is the 2-norm of the per-segment sums of |coef|, 0 for
+    a tensor without a nonzero coefficient: it bounds the norm of the
+    tensor applied to unit-norm columns, and so sets the size of the
+    rounding noise in a contracted column.
     """
 
     starts: np.ndarray   # (S,) first kernel row of each segment
@@ -151,6 +152,10 @@ def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
     sorted_rows = row_arr[order]
     starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
     coef_arr = np.ascontiguousarray(np.asarray(coefs, dtype=np.float64)[order])
+    # the 2-norm taken as max * norm(sums / max), so that no square leaves
+    # the double range at any weight scale
+    sums = np.add.reduceat(np.abs(coef_arr), starts)
+    top = float(sums.max()) if sums.size else 0.0
     return _Kernel(
         starts=starts,
         targets=sorted_rows[starts],
@@ -158,7 +163,7 @@ def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
             np.asarray(slot_idx, dtype=np.intp).reshape(k - 1, -1)[:, order]
         ),
         coefs=coef_arr,
-        scale=float(np.linalg.norm(np.add.reduceat(np.abs(coef_arr), starts))),
+        scale=top * float(np.linalg.norm(sums / top)) if top else 0.0,
     )
 
 

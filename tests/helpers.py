@@ -19,7 +19,7 @@ import sympy
 
 from hyperctrl import AdjacencyTensor, ControlMatrix, Hypergraph, MCNResult, closure_basis
 from hyperctrl.hypergraph import _splitmix64
-from hyperctrl.mcn import _tensor_component_ids
+from hyperctrl.mcn import _component_ids
 from hyperctrl.tensor import _apply_multisets
 
 # Dense materialization allocates n^k entries; refuse anything above this.
@@ -188,8 +188,8 @@ def exact_mcn_reference(
     the minimum size.
     """
     n = tensor.dim
-    comp_ids = _tensor_component_ids(tensor)
-    all_ids = frozenset(comp_ids.tolist())
+    comp_ids = _component_ids(tensor)
+    all_ids = frozenset(comp_ids)
     for m in range(1, n + 1):
         found = []
         for subset in itertools.combinations(range(1, n + 1), m):

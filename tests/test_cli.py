@@ -11,6 +11,7 @@ import json
 import pytest
 
 from hyperctrl import cli, hypergraph as hg
+from hyperctrl.mcn import mcn_exact
 
 
 def write_graph(tmp_path, doc, name="g.json"):
@@ -109,6 +110,29 @@ class TestSimulateSchedule:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {schedule}: line 3: ")
         assert "'x'" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "at least one breakpoint"),
+            ("0,1\n0.5,2\n0.5,3\n", "strictly increasing"),
+            ("0.1,1\n0.5,2\n", "first breakpoint must be t=0"),
+            ("0,1\n0.5,nan\n", "must be finite"),
+        ],
+        ids=["empty", "times-not-increasing", "first-not-zero", "nan-value"],
+    )
+    def test_content_error_names_file(self, tmp_path, capsys, text, message):
+        graph = write_graph(tmp_path, CHAIN5)
+        schedule = tmp_path / "u.csv"
+        schedule.write_text(text)
+        code, out, err = run(
+            ["simulate", graph, "--x0", "0,0,0,0,0", "--controls", "1",
+             "--input-schedule-file", str(schedule)],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {schedule}: ")
+        assert message in err
 
 
 class TestIngest:
@@ -256,6 +280,20 @@ class TestGenerate:
         assert code == 2 and out == ""
         assert flag in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "complete", "--n", "200", "--k", "6"],
+            ["--family", "random", "--n", "200", "--k", "6", "--density", "0.1", "--seed", "1"],
+        ],
+        ids=["complete", "random"],
+    )
+    def test_too_many_tuples_is_parameter_problem(self, capsys, argv):
+        # C(200, 6) = 8.2e10 candidate edges; refused before any is listed
+        code, out, err = run(["generate", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: C(200, 6) = 82408626300 tuples exceeds the")
+
 
 class TestBench:
     def test_csv_header_and_row(self, capsys):
@@ -291,6 +329,47 @@ class TestBench:
         assert code == 0 and err == ""
         rows = [row.split(",") for row in out.splitlines()[1:]]
         assert [(f[4], f[5], f[6]) for f in rows] == [(e, g, "True") for e, g in values]
+
+
+def two_part_graph(seed, a, b):
+    """A random 3-uniform graph on nodes 1..a beside a random 2-uniform one
+    on nodes a+1..a+b: the graph's tensor has order 3 on both parts."""
+    triples = hg.random_uniform(a, 3, 0.5, seed)
+    pairs = hg.random_uniform(b, 2, 0.45, seed + 1000)
+    shifted = tuple(tuple(j + a for j in e) for e in pairs.edges)
+    return hg.Hypergraph(a + b, triples.edges + shifted)
+
+
+class TestMixedCardinality:
+    """``mcn`` solves the components of the graph's one tensor, so its answer
+    is the whole-tensor search's and ``check`` confirms every witness."""
+
+    def assert_agrees(self, tmp_path, capsys, graph):
+        path = write_graph(tmp_path, hg.to_json_dict(graph))
+        code, out, _ = run(["mcn", path, "--method", "exact"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        want = mcn_exact(hg.adjacency_auto(graph))
+        assert (doc["value"], tuple(doc["witness"])) == (want.value, want.witness)
+        controls = ",".join(map(str, doc["witness"]))
+        code, out, _ = run(["check", path, "--controls", controls], capsys)
+        assert code == 0 and json.loads(out)["full"] is True
+        return doc
+
+    def test_pair_component_keeps_the_graph_order(self, tmp_path, capsys):
+        # a per-component order 2 for the pair edges once answered 5 with
+        # witness [1, 2, 3, 6, 7]
+        triples = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
+        pairs = [[5, 6], [5, 9], [5, 10], [6, 7], [6, 10], [7, 8], [7, 9],
+                 [8, 10], [9, 10]]
+        graph = hg.Hypergraph(10, tuple(map(tuple, triples + pairs)))
+        doc = self.assert_agrees(tmp_path, capsys, graph)
+        assert (doc["value"], doc["witness"]) == (4, [1, 2, 3, 6])
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    @pytest.mark.parametrize("a, b", [(4, 6), (5, 6)])
+    def test_seeded_two_part_graphs(self, tmp_path, capsys, seed, a, b):
+        self.assert_agrees(tmp_path, capsys, two_part_graph(seed, a, b))
 
 
 class TestSimulateCsv:

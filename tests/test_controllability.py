@@ -194,13 +194,24 @@ class TestReducedControllability:
         inside = closure_basis(A, partial.basis[:, :1], closed=partial.basis)
         assert inside.rank == partial.rank and inside.iterations == 0
 
-    @pytest.mark.parametrize("c", [1e-30, 1e-16, 1.0, 1e16, 1e30])
+    @pytest.mark.parametrize(
+        "c", [1e-300, 1e-200, 1e-30, 1e-16, 1.0, 1e16, 1e30, 1e200, 1e300]
+    )
     def test_rank_does_not_depend_on_the_weight_scale(self, c):
         # the rank of A is the rank of cA; an eps-relative cutoff on the
-        # whole basis gave 2, 2, 12, 1, 1
+        # whole basis gave 2, 2, 12, 1, 1 from 1e-30 to 1e30, and column
+        # norms squared out of the double range gave 2 below 1e-169 and
+        # from 1e160 up
         g = hc.hyperchain(12, 3)
         A = hc.adjacency_auto(hc.Hypergraph(12, g.edges, weights=(c,) * len(g.edges)))
         assert closure_of(A, (1, 2)).rank == 12
+
+    @pytest.mark.parametrize("c", [1e-300, 1e160, 1e300])
+    def test_minimum_does_not_depend_on_the_weight_scale(self, c):
+        # one pair edge on three nodes: {1, 3} is full; with every contracted
+        # column dropped, as once happened at these weights, it took all three
+        A = hc.adjacency_auto(hc.Hypergraph(3, ((1, 2),), weights=(c,)))
+        assert hc.mcn_exact(A).value == 2
 
     @pytest.mark.parametrize("k, density", [(2, 0.25), (3, 0.1), (4, 0.03)])
     def test_rank_does_not_depend_on_node_labels(self, k, density):

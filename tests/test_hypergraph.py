@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperctrl as hc
+from hyperctrl import hypergraph
 from hyperctrl.hypergraph import from_json_dict, to_json_dict
 
 from helpers import dense_tensor, entry, membership_counts, random_mixed_hypergraph
@@ -147,6 +148,30 @@ class TestRandomUniform:
     def test_density_validated(self):
         with pytest.raises(ValueError, match="density"):
             hc.random_uniform(6, 3, 1.5, 0)
+
+
+class TestTupleGuard:
+    """``complete`` and ``random_uniform`` enumerate all C(n, k) k-subsets;
+    above the cap they refuse before enumerating any."""
+
+    @pytest.fixture(
+        params=[hc.complete, lambda n, k: hc.random_uniform(n, k, 0.5, 1)],
+        ids=["complete", "random"],
+    )
+    def build(self, request):
+        return request.param
+
+    def test_cap_is_shared_with_ingest(self, monkeypatch, build):
+        # C(6, 3) = 20 tuples: allowed at the cap, refused above it
+        monkeypatch.setattr(hypergraph, "MAX_TUPLES", 20)
+        build(6, 3)
+        monkeypatch.setattr(hypergraph, "MAX_TUPLES", 19)
+        with pytest.raises(ValueError, match="= 20 tuples exceeds the 19 guard"):
+            build(6, 3)
+
+    def test_default_cap_refuses_before_enumerating(self, build):
+        with pytest.raises(ValueError, match=r"C\(200, 6\) = 82408626300 tuples exceeds"):
+            build(200, 6)
 
 
 class TestAdjacencyUniform:

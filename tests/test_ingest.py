@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hyperctrl as hc
-from hyperctrl import ingest
+from hyperctrl import hypergraph
 
 
 def seeded_series(seed: int, channels: int = 6, samples: int = 80):
@@ -78,8 +78,8 @@ class TestBuildHypergraph:
     def test_tuple_guard(self, monkeypatch):
         series = seeded_series(1)
         # C(6, 3) = 20 tuples: allowed at the cap, refused above it
-        monkeypatch.setattr(ingest, "MAX_TUPLES", 20)
+        monkeypatch.setattr(hypergraph, "MAX_TUPLES", 20)
         hc.build_hypergraph(series, 3, 0.5)
-        monkeypatch.setattr(ingest, "MAX_TUPLES", 19)
+        monkeypatch.setattr(hypergraph, "MAX_TUPLES", 19)
         with pytest.raises(ValueError, match="= 20 tuples exceeds the 19 guard"):
             hc.build_hypergraph(series, 3, 0.5)

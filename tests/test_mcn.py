@@ -147,8 +147,8 @@ class TestOrderTwoMultiplicityBound:
         components = 0
         for seed in range(1, 31):
             g = hc.random_uniform(6 + seed % 4, 2, 0.25, seed)
-            for comp in hc.connected_components(g):
-                A = auto(comp.hypergraph)
+            for comp in hc.connected_components(auto(g)):
+                A = comp.tensor
                 assert max_eigen_multiplicity(A) <= hc.mcn_exact(A).value, (seed, comp.nodes)
                 components += 1
         assert components >= 60
@@ -299,34 +299,54 @@ class TestPredicted:
 
 class TestComponents:
     def test_connected_chain_single_component(self):
-        comps = hc.connected_components(hc.hyperchain(6, 3))
+        A = auto(hc.hyperchain(6, 3))
+        comps = hc.connected_components(A)
         assert len(comps) == 1
         assert comps[0].nodes == (1, 2, 3, 4, 5, 6)
+        assert comps[0].tensor.entries == A.entries
 
     def test_disjoint_triples(self):
         g = hc.Hypergraph(6, ((1, 2, 3), (4, 5, 6)))
-        comps = hc.connected_components(g)
+        comps = hc.connected_components(auto(g))
         assert [c.nodes for c in comps] == [(1, 2, 3), (4, 5, 6)]
         for c in comps:
-            assert c.hypergraph.edges == ((1, 2, 3),)
+            assert c.tensor == auto(hc.Hypergraph(3, ((1, 2, 3),)))
 
     def test_isolated_nodes_become_singletons(self):
         g = hc.Hypergraph(5, ((1, 2, 3),))
-        comps = hc.connected_components(g)
+        comps = hc.connected_components(auto(g))
         assert [c.nodes for c in comps] == [(1, 2, 3), (4,), (5,)]
+        # a singleton is the order-3 tensor restricted to one node
+        assert [(c.tensor.order, c.tensor.dim, c.tensor.entries) for c in comps[1:]] == [
+            (3, 1, {}),
+            (3, 1, {}),
+        ]
 
     def test_component_additivity_of_mcn(self):
         # disjoint union: chain(4,3) nodes 1-4, single 3-edge nodes 5-7
-        g = hc.Hypergraph(7, ((1, 2, 3), (2, 3, 4), (5, 6, 7)))
-        whole = hc.mcn_exact(auto(g)).value
+        A = auto(hc.Hypergraph(7, ((1, 2, 3), (2, 3, 4), (5, 6, 7))))
+        whole = hc.mcn_exact(A).value
         parts = 0
-        for comp in hc.connected_components(g):
-            parts += hc.mcn_exact(auto(comp.hypergraph)).value
+        for comp in hc.connected_components(A):
+            parts += hc.mcn_exact(comp.tensor).value
         assert whole == parts == 4
 
     def test_weights_preserved(self):
         g = hc.Hypergraph(5, ((1, 2), (4, 5)), weights=(2.0, 3.0))
-        comps = hc.connected_components(g)
+        comps = hc.connected_components(auto(g))
         assert [c.nodes for c in comps] == [(1, 2), (3,), (4, 5)]
-        assert comps[0].hypergraph.weights == (2.0,)
-        assert comps[2].hypergraph.weights == (3.0,)
+        assert comps[0].tensor.entries == {(1, 2): 2.0}
+        assert comps[2].tensor.entries == {(1, 2): 3.0}
+
+    def test_pieces_keep_the_order_of_the_whole_tensor(self):
+        # a 2-uniform piece of a graph whose largest edge has 3 nodes is the
+        # order-3 tensor restricted to it, coefficients unchanged
+        g = hc.Hypergraph(6, ((1, 2, 3), (4, 6), (5, 6)))
+        A = auto(g)
+        comps = hc.connected_components(A)
+        assert [c.nodes for c in comps] == [(1, 2, 3), (4, 5, 6)]
+        assert all(c.tensor.order == 3 for c in comps)
+        relabel = {4: 1, 5: 2, 6: 3}
+        assert comps[1].tensor.entries == {
+            tuple(relabel[j] for j in p): coef for p, coef in A.entries.items() if p[0] > 3
+        }

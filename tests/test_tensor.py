@@ -152,6 +152,14 @@ class TestTtv:
         assert signed.kernel().scale == pytest.approx(np.linalg.norm(dense.sum(axis=1)), rel=1e-13)
         assert hc.AdjacencyTensor(order=3, dim=4, entries={}).kernel().scale == 0.0
 
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_kernel_scale_stays_in_range(self, c):
+        # the squares of the row sums leave the double range at these weights
+        g = hc.hyperchain(12, 3)
+        unit = hc.adjacency_auto(g).kernel().scale
+        A = hc.adjacency_auto(hc.Hypergraph(12, g.edges, weights=(c,) * len(g.edges)))
+        assert A.kernel().scale == pytest.approx(c * unit, rel=1e-13)
+
 
 @st.composite
 def tensor_and_vectors(draw):
