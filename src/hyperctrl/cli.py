@@ -116,14 +116,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _solve_by_component(graph: hg.Hypergraph, solve) -> dict:
+def _solve_by_component(graph: hg.Hypergraph, solve, counts: bool = False) -> dict:
     """Solve each connected component of the graph's one tensor and add up
     the minima.
 
     Every component is the whole tensor restricted to its nodes, so it keeps
     the graph's order k. Witnesses and rank traces are mapped back to the
     graph's labels; the total is None when some component has no
-    controlling set.
+    controlling set. With ``counts`` each component also records its
+    search: the closures run and what each prune skipped.
     """
     per_component = []
     total: int | None = 0
@@ -140,6 +141,8 @@ def _solve_by_component(graph: hg.Hypergraph, solve) -> dict:
             entry["rank_trace"] = [
                 [comp.nodes[j - 1], rank] for j, rank in result.rank_trace
             ]
+        if counts:
+            entry["search"] = {"closures": result.closures, "skipped": result.skipped}
         per_component.append(entry)
         if result.value is None:
             total = None
@@ -157,7 +160,7 @@ def cmd_mcn(args) -> int:
         solve = partial(mcn_exact, tol=tol, guard=args.guard)
     else:
         solve = partial(mcn_greedy, tol=tol, tie_break=args.tie_break, seed=args.seed)
-    solved = _solve_by_component(graph, solve)
+    solved = _solve_by_component(graph, solve, counts=args.report)
     elapsed = time.perf_counter() - started
     payload = {"method": args.method, **solved, "n": graph.n}
     if args.report:
@@ -342,12 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
     mcn_p.add_argument("--method", choices=("exact", "greedy"), default="greedy")
     mcn_p.add_argument("--tol", type=float)
     mcn_p.add_argument("--tie-break", dest="tie_break",
-                       choices=("degree", "index", "random"), default="degree")
+                       choices=("degree", "index", "random"), default="degree",
+                       help="how greedy breaks ties on the rank gain: highest degree "
+                       "then lowest index, lowest index, or a seeded pick; degree "
+                       "and index skip twins of a node already evaluated and end a "
+                       "step at the first full-rank candidate, random evaluates "
+                       "every candidate")
     mcn_p.add_argument("--seed", type=int, help="seed for --tie-break random")
     mcn_p.add_argument("--guard", type=int, default=20,
                        help="node-count cap for the exact search")
     mcn_p.add_argument("--report", action="store_true",
-                       help="wrap the result in a run report with digest and timings")
+                       help="wrap the result in a run report with digest and "
+                       "timings; each component also records its search counts")
     mcn_p.set_defaults(func=cmd_mcn)
 
     check = sub.add_parser("check", help="controllability verdict for a control set")

@@ -4,7 +4,8 @@ into its connected components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +26,11 @@ class MCNResult:
     ``value`` is the control-node count (None marks the uncontrollable
     case), ``witness`` one achieving node set. Greedy results carry a
     ``rank_trace`` of (node added, rank after) pairs; the exact search can
-    optionally enumerate every minimum witness.
+    optionally enumerate every minimum witness. ``closures`` counts the
+    closures the search ran and ``skipped`` what its prunes saved, by prune
+    (greedy: ``early_stop`` and ``twins`` count candidates, exact: ``twins``
+    counts children); neither takes part in equality, which compares
+    answers.
     """
 
     value: int | None
@@ -33,6 +38,8 @@ class MCNResult:
     method: str
     rank_trace: tuple | None = None
     all_witnesses: tuple | None = None
+    closures: int = field(default=0, compare=False)
+    skipped: dict = field(default_factory=dict, compare=False)
 
 
 class Component(NamedTuple):
@@ -62,6 +69,57 @@ def _component_ids(tensor: AdjacencyTensor) -> list[int]:
             parent[find(other)] = root
     ids: dict = {}
     return [ids.setdefault(find(j), len(ids)) for j in range(1, tensor.dim + 1)]
+
+
+def _twin_classes(tensor: AdjacencyTensor) -> list[tuple]:
+    """The tensor's nodes split into twin classes, each sorted, in order of
+    their lowest node; a node without a twin is a class of its own.
+
+    Nodes i and j are twins when swapping them maps every stored pattern to
+    a stored pattern with the same coefficient. The swaps that do form a
+    group, so twinship is an equivalence and a node only needs checking
+    against one member of each class. Nodes are bucketed by the multiset of
+    (multiplicity, coefficient) over their patterns, which twins share; a
+    node is then checked against the first member of each class in its
+    bucket, stopping at the first pattern that does not map. Checking the
+    patterns of one node suffices: equal buckets give both nodes as many
+    patterns, so a swap that maps one node's patterns into the stored ones
+    maps the other's back onto them.
+    """
+    incidence: list[list] = [[] for _ in range(tensor.dim + 1)]
+    for pattern, coef in tensor.entries.items():
+        for j in set(pattern):
+            incidence[j].append((pattern, coef))
+    entries = tensor.entries
+
+    def swaps_onto_stored(i: int, j: int) -> bool:
+        swap = {i: j, j: i}
+        return all(
+            entries.get(tuple(sorted(swap.get(v, v) for v in pattern))) == coef
+            for pattern, coef in incidence[j]
+        )
+
+    buckets: dict = {}
+    for j in range(1, tensor.dim + 1):
+        key = tuple(sorted((pattern.count(j), coef) for pattern, coef in incidence[j]))
+        bucket = buckets.setdefault(key, [])
+        for members in bucket:
+            if swaps_onto_stored(members[0], j):
+                members.append(j)
+                break
+        else:
+            bucket.append([j])
+    return sorted(tuple(members) for bucket in buckets.values() for members in bucket)
+
+
+def _twin_orbit(subset: tuple, classes: list[tuple]) -> list[tuple]:
+    """Every node set that takes as many members of each twin class as
+    ``subset`` does: the orbit of ``subset`` under swaps of twins."""
+    picks = [
+        itertools.combinations(members, sum(j in subset for j in members))
+        for members in classes
+    ]
+    return [tuple(sorted(itertools.chain(*choice))) for choice in itertools.product(*picks)]
 
 
 def connected_components(tensor: AdjacencyTensor) -> list[Component]:
@@ -98,6 +156,9 @@ def mcn_exact(
     last(P) at a time, and the child's closure is warm-started from P's, so
     each prefix is closed once. A branch is pruned when
 
+    - j has a lower twin (see ``_twin_classes``) that P lacks: swapping the
+      two maps every subset below the child onto a lexicographically smaller
+      one with the same rank, so the first full subset is never below it;
     - e_j already lies in closure(P) (the child's rank equals P's): every
       m-subset below it has the closure of one of size m - 1, and all of
       those were rejected;
@@ -106,10 +167,13 @@ def mcn_exact(
     - the connected components P leaves uncovered outnumber its free
       slots: an uncovered component's coordinates never enter the span.
 
-    No pruned branch holds a full-rank subset, so the walk meets the full
-    ones in the same lexicographic order as the plain enumeration: the
-    witness is the same, and with ``all_witnesses`` the walk over the
-    minimum size runs to its end and collects every full-rank subset.
+    The first full subset in lexicographic order is the least of its twin
+    orbit, so the twin prune keeps it, and no other prune drops a full
+    subset: the walk meets the first one where the plain enumeration does,
+    and the witness is the same. With ``all_witnesses`` the walk over the
+    minimum size runs to its end, and each full subset it finds stands for
+    its twin orbit, whose members are all full; the orbits, expanded, are
+    every full subset, returned in lexicographic order.
 
     Raises:
         ExactSearchGuardError: n exceeds ``guard``; use the greedy search.
@@ -122,18 +186,32 @@ def mcn_exact(
         )
     comp_ids = _component_ids(tensor)
     n_comps = max(comp_ids) + 1
+    classes = _twin_classes(tensor)
+    # the next lower member of each node's twin class, 0 for none
+    lower_twin = [0] * (n + 1)
+    for members in classes:
+        for lo, hi in zip(members, members[1:]):
+            lower_twin[hi] = lo
     eye = np.eye(n)
+    counts = {"closures": 0, "twins": 0}
 
     def full_sets(m: int, prefix: tuple, basis: np.ndarray):
-        # full-rank m-subsets below ``prefix``, in lexicographic order
+        # full-rank m-subsets below ``prefix`` that take the lowest members
+        # of each twin class, in lexicographic order
         free = m - len(prefix)
         last = prefix[-1] if prefix else 0
-        if prefix and closure_basis(tensor, eye[:, last:], tol=tol, closed=basis).rank < n:
-            return
+        if prefix:
+            counts["closures"] += 1
+            if closure_basis(tensor, eye[:, last:], tol=tol, closed=basis).rank < n:
+                return
         for j in range(last + 1, n - free + 2):
+            if lower_twin[j] and lower_twin[j] not in prefix:
+                counts["twins"] += 1
+                continue
             child = prefix + (j,)
             if n_comps - len({comp_ids[i - 1] for i in child}) > free - 1:
                 continue
+            counts["closures"] += 1
             res = closure_basis(tensor, eye[:, j - 1 : j], tol=tol, closed=basis)
             if res.rank == basis.shape[1]:
                 continue
@@ -142,20 +220,27 @@ def mcn_exact(
             elif res.rank == n:
                 yield child
 
+    value, found = None, []
     for m in range(max(1, n_comps), n + 1):
-        found = []
         for subset in full_sets(m, (), np.zeros((n, 0))):
             found.append(subset)
             if not all_witnesses:
                 break
         if found:
-            return MCNResult(
-                value=m,
-                witness=found[0],
-                method="exact",
-                all_witnesses=tuple(found) if all_witnesses else None,
-            )
-    return MCNResult(value=None, witness=(), method="exact")
+            value = m
+            break
+    return MCNResult(
+        value=value,
+        witness=found[0] if found else (),
+        method="exact",
+        all_witnesses=(
+            tuple(sorted(w for s in found for w in _twin_orbit(s, classes)))
+            if all_witnesses and found
+            else None
+        ),
+        closures=counts.pop("closures"),
+        skipped=counts,
+    )
 
 
 def mcn_greedy(
@@ -175,6 +260,20 @@ def mcn_greedy(
     alone (``index``), or a seeded uniform pick (``random``, requires
     ``seed``).
 
+    With ``degree`` and ``index``, a step evaluates the candidates in
+    tie-break order and takes the first one of the largest gain, so two
+    prunes keep every pick:
+
+    - of each twin class (see ``_twin_classes``), only the unchosen member
+      that comes first in tie-break order is evaluated: swapping it with a
+      later twin fixes the chosen set and maps one closure onto the other,
+      so the later twin has the same gain and loses the tie;
+    - the step ends at the first candidate whose closure reaches rank n: no
+      later candidate has a larger gain, and an equal one loses the tie.
+
+    ``random`` evaluates every candidate, since its pick depends on how many
+    tie.
+
     Raises:
         ValueError: no candidate raises the rank at the given tolerance.
     """
@@ -183,44 +282,56 @@ def mcn_greedy(
     if tie_break == "random" and seed is None:
         raise ValueError("tie_break='random' requires an explicit seed")
     n = tensor.dim
-    node_degrees = degrees(tensor)
+    order = list(range(1, n + 1))
+    if tie_break == "degree":
+        node_degrees = degrees(tensor)
+        order.sort(key=lambda j: (-node_degrees[j - 1], j))
+    prune = tie_break != "random"
+    class_of = {}
+    if prune:
+        for cid, members in enumerate(_twin_classes(tensor)):
+            class_of.update(dict.fromkeys(members, cid))
     basis = np.zeros((n, 0))
     rank = 0
     chosen: list[int] = []
     trace: list[tuple] = []
-    step = 0
+    counts = {"closures": 0, "early_stop": 0, "twins": 0}
     while rank < n:
-        remaining = [j for j in range(1, n + 1) if j not in chosen]
-        results = [
-            closure_basis(tensor, ControlMatrix((j,)).matrix(n), tol=tol, closed=basis)
-            for j in remaining
-        ]
-        gains = [res.rank - rank for res in results]
-        best_gain = max(gains)
-        if best_gain < 1:
+        remaining = [j for j in order if j not in chosen]
+        evaluated: list[tuple] = []
+        seen: set = set()
+        for pos, j in enumerate(remaining):
+            if prune:
+                if class_of[j] in seen:
+                    counts["twins"] += 1
+                    continue
+                seen.add(class_of[j])
+            res = closure_basis(tensor, ControlMatrix((j,)).matrix(n), tol=tol, closed=basis)
+            counts["closures"] += 1
+            evaluated.append((j, res))
+            if prune and res.rank == n:
+                counts["early_stop"] += len(remaining) - pos - 1
+                break
+        best_rank = max(res.rank for _, res in evaluated)
+        if best_rank <= rank:
             # a large tolerance can cut off the new direction of every candidate
             raise ValueError(
                 f"no candidate raises the rank above {rank} of {n} at rank "
                 f"tolerance {tol!r}; use a smaller tolerance"
             )
-        tied = [pos for pos, g in enumerate(gains) if g == best_gain]
-        if tie_break == "random":
-            pick = tied[_splitmix64(seed, step) % len(tied)]
-        elif tie_break == "degree":
-            pick = max(tied, key=lambda pos: (node_degrees[remaining[pos] - 1], -remaining[pos]))
-        else:
-            pick = tied[0]
-        node = remaining[pick]
-        basis = results[pick].basis
-        rank = results[pick].rank
+        tied = [pos for pos, (_, res) in enumerate(evaluated) if res.rank == best_rank]
+        pick = tied[0] if prune else tied[_splitmix64(seed, len(chosen)) % len(tied)]
+        node, res = evaluated[pick]
+        basis, rank = res.basis, res.rank
         chosen.append(node)
         trace.append((node, rank))
-        step += 1
     return MCNResult(
         value=len(chosen),
         witness=tuple(chosen),
         method="greedy",
         rank_trace=tuple(trace),
+        closures=counts.pop("closures"),
+        skipped=counts,
     )
 
 

@@ -5,9 +5,11 @@ definitions, exact rational arithmetic) so the sparse production paths are
 checked against genuinely independent implementations. ``lemma1_check``
 tests the column-space lemma the closure relies on through the contraction
 kernel and numpy's SVD alone, with none of the closure's own code.
-``exact_mcn_reference`` is the plain exhaustive search that the pruned one
-must agree with. ``entry`` and ``ttv_multi`` are small conveniences over the
-production storage and kernel.
+``exact_mcn_reference`` and ``greedy_reference`` are the plain exhaustive
+and greedy searches that the pruned ones must agree with.
+``modular_closure_rank`` decides the closure rank over GF(p), exactly and
+fast enough for hundreds of nodes. ``entry`` and ``ttv_multi`` are small
+conveniences over the production storage and kernel.
 """
 from __future__ import annotations
 
@@ -17,7 +19,14 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from hyperctrl import AdjacencyTensor, ControlMatrix, Hypergraph, MCNResult, closure_basis
+from hyperctrl import (
+    AdjacencyTensor,
+    ControlMatrix,
+    Hypergraph,
+    MCNResult,
+    closure_basis,
+    degrees,
+)
 from hyperctrl.hypergraph import _splitmix64
 from hyperctrl.mcn import _component_ids
 from hyperctrl.tensor import _apply_multisets
@@ -207,6 +216,124 @@ def exact_mcn_reference(
                 all_witnesses=tuple(found) if all_witnesses else None,
             )
     return MCNResult(value=None, witness=(), method="exact")
+
+
+def greedy_reference(
+    tensor: AdjacencyTensor,
+    tol: float | None = None,
+    tie_break: str = "degree",
+    seed: int | None = None,
+) -> MCNResult:
+    """Greedy search that evaluates every remaining candidate at every step.
+
+    Candidates are closed warm from the chosen set's basis, as the pruned
+    search does, so both see the same closures; ties on the gain go to the
+    highest degree then lowest index, the lowest index, or a splitmix64 pick
+    among the tied in index order.
+    """
+    n = tensor.dim
+    node_degrees = degrees(tensor)
+    basis = np.zeros((n, 0))
+    chosen: list[int] = []
+    trace: list[tuple] = []
+    while basis.shape[1] < n:
+        remaining = [j for j in range(1, n + 1) if j not in chosen]
+        results = [
+            closure_basis(tensor, ControlMatrix((j,)).matrix(n), tol=tol, closed=basis)
+            for j in remaining
+        ]
+        best = max(res.rank for res in results)
+        if best <= basis.shape[1]:
+            raise ValueError("no candidate raises the rank")
+        tied = [pos for pos, res in enumerate(results) if res.rank == best]
+        if tie_break == "random":
+            pick = tied[_splitmix64(seed, len(chosen)) % len(tied)]
+        elif tie_break == "degree":
+            pick = max(tied, key=lambda pos: (node_degrees[remaining[pos] - 1], -remaining[pos]))
+        else:
+            pick = tied[0]
+        basis = results[pick].basis
+        chosen.append(remaining[pick])
+        trace.append((remaining[pick], basis.shape[1]))
+    return MCNResult(
+        value=len(chosen), witness=tuple(chosen), method="greedy", rank_trace=tuple(trace)
+    )
+
+
+def modular_closure_rank(
+    tensor: AdjacencyTensor, control_nodes, primes=(67108859, 67108837)
+) -> int:
+    """Closure rank over GF(p), the larger over the given primes.
+
+    Every double coefficient num / 2^e maps exactly to num * (2^e)^-1 mod p.
+    The tensor is contracted term by term, as in ``exact_closure_rank``, in
+    int64: with p < 2^26 a product of two residues stays under 2^52, and a
+    sum of up to 2^11 of them under 2^63. The basis is kept in reduced
+    echelon form mod p. A rank mod p never exceeds the rational rank, and
+    equals it unless p divides every maximal minor; two primes make that
+    coincidence remote.
+    """
+    return max(_rank_mod_p(tensor, control_nodes, p) for p in primes)
+
+
+def _rank_mod_p(tensor: AdjacencyTensor, control_nodes, p: int) -> int:
+    n, k = tensor.dim, tensor.order
+    if n >= 1 << 11:
+        raise ValueError(f"{n} nodes: an int64 dot product mod p overflows past 2047")
+    rows, slots, coefs = [], [], []
+    for pattern, coef in tensor.entries.items():
+        num, den = float(coef).as_integer_ratio()
+        c = num * pow(den, -1, p) % p
+        for pivot in set(pattern):
+            rest = list(pattern)
+            rest.remove(pivot)
+            for sigma in set(itertools.permutations(rest)):
+                rows.append(pivot - 1)
+                slots.append([j - 1 for j in sigma])
+                coefs.append(c)
+    rows = np.asarray(rows, dtype=np.int64)
+    slots = np.asarray(slots, dtype=np.int64).reshape(-1, k - 1).T
+    coefs = np.asarray(coefs, dtype=np.int64)
+    # ``vecs`` are the spanning vectors as they joined, and the tensor is
+    # applied to their multisets; ``echelon`` spans the same space in
+    # reduced echelon form, one row per entry of ``pivots``
+    vecs: list[np.ndarray] = []
+    echelon = np.zeros((0, n), dtype=np.int64)
+    pivots: list[int] = []
+
+    def add(ys: np.ndarray) -> None:
+        nonlocal echelon
+        for y in ys:
+            if pivots:
+                y = (y - y[pivots] @ echelon) % p
+            nonzero = np.flatnonzero(y)
+            if not nonzero.size:
+                continue
+            piv = int(nonzero[0])
+            y = y * pow(int(y[piv]), -1, p) % p
+            echelon = np.vstack([(echelon - np.outer(echelon[:, piv], y)) % p, y])
+            pivots.append(piv)
+            vecs.append(y)
+            if len(pivots) == n:
+                return
+
+    add(np.eye(n, dtype=np.int64)[[j - 1 for j in control_nodes]])
+    t = 0
+    while t < len(pivots) < n:
+        # every multiset of spanning vectors whose last member is vector t
+        combos = np.array(
+            [c + (t,) for c in itertools.combinations_with_replacement(range(t + 1), k - 2)],
+            dtype=np.intp,
+        ).reshape(-1, k - 1)
+        frozen = np.array(vecs[: t + 1])
+        prod = np.broadcast_to(coefs[:, None], (len(coefs), len(combos))).copy()
+        for slot, members in zip(slots, combos.T):
+            prod = prod * frozen[members][:, slot].T % p
+        ys = np.zeros((len(combos), n), dtype=np.int64)
+        np.add.at(ys.T, rows, prod)
+        add(ys % p)
+        t += 1
+    return len(pivots)
 
 
 def multiset_columns(tensor: AdjacencyTensor, X: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from helpers import (
     exact_closure_rank,
     kalman_rank,
     lemma1_check,
+    modular_closure_rank,
     random_hypergraph,
     seeded_floats,
     seeded_ints,
@@ -279,6 +280,36 @@ class TestExactOracle:
     def test_float_rank_matches_exact_rank_for_k2(self, n, density, seed, node):
         got, want = float_and_exact_rank(n, 2, density, seed, node)
         assert got == want
+
+
+class TestModularOracle:
+    """The GF(p) closure rank equals the rational one wherever both run."""
+
+    def test_matches_exact_rank(self):
+        cases = 0
+        for k, density in ((2, 0.3), (3, 0.15), (4, 0.06)):
+            for seed in range(1, 9):
+                g = hc.random_uniform(7 + seed % 3, k, density, seed)
+                # weights that are not dyadic, so num / 2^e carries an inverse
+                weights = tuple(seeded_floats(seed, len(g.edges), lo=0.1, hi=3.0))
+                for graph in (g, hc.Hypergraph(g.n, g.edges, weights=weights)):
+                    A = hc.adjacency_auto(graph)
+                    for nodes in ((1,), (2,), (1, 5), (3, 6)):
+                        assert modular_closure_rank(A, nodes) == exact_closure_rank(A, nodes)
+                        cases += 1
+        assert cases == 192
+
+    def test_k2_disagreements(self):
+        for (n, density, seed, node), (exact, _) in FLOAT_RANK_TOO_HIGH.items():
+            A = hc.adjacency_auto(hc.random_uniform(n, 2, density, seed))
+            assert modular_closure_rank(A, (node,)) == exact, (n, density, seed, node)
+
+    @pytest.mark.parametrize("ratio", [1e9, 1e50, 1e100])
+    def test_edge_weights_far_apart(self, ratio):
+        g = hc.hyperchain(12, 3)
+        weights = tuple(ratio if i % 2 else 1.0 for i in range(len(g.edges)))
+        A = hc.adjacency_auto(hc.Hypergraph(12, g.edges, weights=weights))
+        assert modular_closure_rank(A, (1, 2)) == exact_closure_rank(A, (1, 2)) == 12
 
 
 class TestRoundingFloor:

@@ -14,7 +14,13 @@ import hyperctrl as hc
 from hyperctrl import hypergraph
 from hyperctrl.hypergraph import from_json_dict, to_json_dict
 
-from helpers import dense_tensor, entry, membership_counts, random_mixed_hypergraph
+from helpers import (
+    dense_tensor,
+    entry,
+    membership_counts,
+    random_mixed_hypergraph,
+    seeded_floats,
+)
 
 
 class TestHypergraphModel:
@@ -172,6 +178,31 @@ class TestTupleGuard:
     def test_default_cap_refuses_before_enumerating(self, build):
         with pytest.raises(ValueError, match=r"C\(200, 6\) = 82408626300 tuples exceeds"):
             build(200, 6)
+
+    def test_byte_cap_is_lower_than_the_tuple_cap(self, monkeypatch, build):
+        # C(46, 6) = 9366819 is under MAX_TUPLES; at about 240 bytes a tuple
+        # it once took 2.2 GB, and now it is refused before any is listed
+        class NoEnumeration:
+            @staticmethod
+            def combinations(*args):
+                raise AssertionError("tuples enumerated")
+
+        monkeypatch.setattr(hypergraph, "itertools", NoEnumeration)
+        assert math.comb(46, 6) < hypergraph.MAX_TUPLES
+        with pytest.raises(ValueError, match=r"= 9366819 tuples exceeds the 932067 guard \("):
+            build(46, 6)
+
+    def test_byte_cap_admits_what_fits(self, monkeypatch, build):
+        # C(6, 3) = 20 tuples of _tuple_bytes(3) each
+        monkeypatch.setattr(hypergraph, "MAX_GENERATED_BYTES", 20 * hypergraph._tuple_bytes(3))
+        build(6, 3)
+        with pytest.raises(ValueError, match="= 35 tuples exceeds the 20 guard"):
+            build(7, 3)
+
+    def test_ingest_is_held_to_the_tuple_cap_alone(self, monkeypatch):
+        monkeypatch.setattr(hypergraph, "MAX_GENERATED_BYTES", 0)
+        series = hc.TimeSeriesMatrix.from_rows(seeded_floats(3, 6 * 40).reshape(6, 40))
+        hc.build_hypergraph(series, 3, 0.5)
 
 
 class TestAdjacencyUniform:

@@ -1,16 +1,20 @@
 """Exact and greedy control-node search, predictions, components."""
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import hyperctrl as hc
 from hyperctrl import mcn as mcn_mod
-from hyperctrl.mcn import ExactSearchGuardError, mcn_predicted
+from hyperctrl.mcn import ExactSearchGuardError, _twin_classes, mcn_predicted
 
 from helpers import (
     exact_closure_rank,
     exact_mcn_reference,
+    greedy_reference,
     max_eigen_multiplicity,
     random_hypergraph,
     random_mixed_hypergraph,
@@ -28,8 +32,6 @@ class TestExact:
         assert res.value == 3
         assert res.witness == (1, 2, 3)
         # no pair suffices
-        import itertools
-
         for pair in itertools.combinations(range(1, 5), 2):
             assert not hc.verdict(auto(hc.complete(4, 4)), hc.ControlMatrix(pair)).full
 
@@ -71,12 +73,14 @@ class TestExact:
         monkeypatch.setattr(mcn_mod, "closure_basis", counting_closure)
         res = hc.mcn_exact(auto(hc.complete(4, 4)), all_witnesses=True)
         # one depth-first walk per size; a prefix costs its warm closure plus
-        # its completion bound: size 1 closes 4 leaves, size 2 3 prefixes and
-        # 5 leaves ((3)'s bound cuts {3, 4}), size 3 5 prefixes and 4 leaves
-        assert len(calls) == 4 + (6 + 5) + (10 + 4)
+        # its completion bound. All four nodes are twins, so a child must
+        # hold its lower twins and each size walks one chain of prefixes:
+        # size 1 closes (1); size 2 (1) with its bound and (1, 2); size 3
+        # (1) and (1, 2) with their bounds and (1, 2, 3)
+        assert len(calls) == res.closures == 1 + 3 + 5
         assert res.all_witnesses is not None
-        # every 3-subset of a single 4-edge works
-        assert len(res.all_witnesses) == 4
+        # every 3-subset of a single 4-edge works: the twin orbit of (1, 2, 3)
+        assert res.all_witnesses == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
         for w in res.all_witnesses:
             assert hc.verdict(auto(hc.complete(4, 4)), hc.ControlMatrix(w)).full
 
@@ -124,6 +128,133 @@ class TestExactMatchesReference:
         assert res.value == 3
         assert (1, 6, 7) not in res.all_witnesses
         assert all(exact_closure_rank(A, w) == 8 for w in res.all_witnesses)
+
+
+def swap_twins(tensor):
+    """Twin classes by the definition: every pair is swapped and the whole
+    pattern map compared, with no bucketing and no early stop."""
+    n = tensor.dim
+    classes = [[j] for j in range(1, n + 1)]
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        swap = {i: j, j: i}
+        image = {
+            tuple(sorted(swap.get(v, v) for v in p)): c for p, c in tensor.entries.items()
+        }
+        ci = next(c for c in classes if i in c)
+        cj = next(c for c in classes if j in c)
+        if image == tensor.entries and ci is not cj:
+            ci.extend(cj)
+            classes.remove(cj)
+    return sorted(tuple(sorted(c)) for c in classes)
+
+
+class TestTwinClasses:
+    def test_star_hub_and_leaves(self):
+        assert _twin_classes(auto(hc.hyperstar(8, 3))) == [(1, 2), (3, 4, 5, 6, 7, 8)]
+        assert _twin_classes(auto(hc.hyperstar(7, 4))) == [(1, 2, 3), (4, 5, 6, 7)]
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (6, 4)])
+    def test_complete_is_one_class(self, n, k):
+        assert _twin_classes(auto(hc.complete(n, k))) == [tuple(range(1, n + 1))]
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (9, 3), (10, 4), (40, 4)])
+    def test_ring_has_no_twins(self, n, k):
+        assert _twin_classes(auto(hc.hyperring(n, k))) == [(j,) for j in range(1, n + 1)]
+
+    def test_unequal_weights_are_not_twins(self):
+        # the patterns {1,2,3} and {1,2,4} swap onto each other, but carry
+        # different coefficients
+        edges = ((1, 2, 3), (1, 2, 4))
+        equal = auto(hc.Hypergraph(4, edges, weights=(2.0, 2.0)))
+        unequal = auto(hc.Hypergraph(4, edges, weights=(1.0, 2.0)))
+        assert _twin_classes(equal) == [(1, 2), (3, 4)]
+        assert _twin_classes(unequal) == [(1, 2), (3,), (4,)]
+
+    def test_isolated_nodes_are_twins(self):
+        A = hc.AdjacencyTensor(order=3, dim=5, entries={(1, 2, 3): 0.5})
+        assert _twin_classes(A) == [(1, 2, 3), (4, 5)]
+
+    def test_matches_the_definition(self):
+        graphs = [hc.random_uniform(7, 2, 0.5, seed) for seed in range(1, 21)]
+        graphs += [hc.random_uniform(6, 3, 0.5, seed) for seed in range(1, 21)]
+        graphs += [random_mixed_hypergraph(seed, 6, 3) for seed in range(1, 21)]
+        with_twins = 0
+        for g in graphs:
+            A = auto(g)
+            want = swap_twins(A)
+            assert _twin_classes(A) == want, g
+            with_twins += len(want) < g.n
+        assert with_twins >= 10
+
+
+def greedy_grid():
+    """Seeded graphs for the pruned-versus-plain greedy comparison: the
+    closed-form families, random uniform graphs at k = 2, 3, 4, and
+    weighted mixed-cardinality graphs, many of them with twins."""
+    for n in range(5, 11):
+        for k in (2, 3, 4):
+            yield f"chain-{n}-{k}", hc.hyperchain(n, k)
+            yield f"ring-{n}-{k}", hc.hyperring(n, k)
+            yield f"star-{n}-{k}", hc.hyperstar(n, k)
+            if math.comb(n, k) <= 60:
+                yield f"complete-{n}-{k}", hc.complete(n, k)
+    for k, density in ((2, 0.25), (2, 0.5), (3, 0.1), (3, 0.3), (4, 0.05), (4, 0.15)):
+        for seed in range(1, 31):
+            n = 7 + seed % 5
+            yield f"random-{n}-{k}-{density}-{seed}", hc.random_uniform(n, k, density, seed)
+    for seed in range(1, 21):
+        g = random_mixed_hypergraph(seed, 6 + seed % 3, 4)
+        # two weight levels, so that some twins survive the weighting
+        weights = tuple(1.0 + (w > 0) for w in seeded_floats(seed, len(g.edges)))
+        yield f"mixed-{seed}", hc.Hypergraph(g.n, g.edges, weights=weights)
+
+
+GREEDY_GRID = dict(greedy_grid())
+
+
+class TestGreedyMatchesReference:
+    """Skipping twins and stopping a step at the first full candidate keeps
+    the witness and the rank trace of the search that evaluates every
+    candidate, under each tie-break."""
+
+    def test_grid_size(self):
+        assert len(GREEDY_GRID) >= 250
+        twins = sum(len(_twin_classes(auto(g))) < g.n for g in GREEDY_GRID.values())
+        assert twins >= 50
+
+    @pytest.mark.parametrize("name", list(GREEDY_GRID))
+    def test_witness_and_trace(self, name):
+        A = auto(GREEDY_GRID[name])
+        for tie_break, seed in (("degree", None), ("index", None), ("random", 7)):
+            got = hc.mcn_greedy(A, tie_break=tie_break, seed=seed)
+            want = greedy_reference(A, tie_break=tie_break, seed=seed)
+            assert (got.witness, got.rank_trace) == (want.witness, want.rank_trace), tie_break
+
+    @pytest.mark.parametrize(
+        "graph, closures, twins",
+        [
+            (hc.hyperring(40, 4), 80, 0),
+            (hc.hyperstar(40, 3), 76, 740),
+            (hc.hyperchain(60, 3), 61, 0),
+        ],
+        ids=["ring-40-4", "star-40-3", "chain-60-3"],
+    )
+    def test_closure_counts(self, graph, closures, twins):
+        # the plain search runs 117, 817 and 119 closures on these inputs
+        A = auto(graph)
+        got = hc.mcn_greedy(A)
+        assert (got.closures, got.skipped["twins"]) == (closures, twins)
+        n = graph.n
+        evaluated = sum(n - step for step in range(got.value))
+        assert got.closures + sum(got.skipped.values()) == evaluated
+        want = greedy_reference(A)
+        assert (got.witness, got.rank_trace) == (want.witness, want.rank_trace)
+
+    def test_random_evaluates_every_candidate(self):
+        A = auto(hc.hyperstar(12, 3))
+        got = hc.mcn_greedy(A, tie_break="random", seed=3)
+        assert got.skipped == {"early_stop": 0, "twins": 0}
+        assert got.closures == sum(12 - step for step in range(got.value))
 
 
 class TestOrderTwoMultiplicityBound:
