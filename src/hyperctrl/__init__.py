@@ -33,14 +33,6 @@ from .mcn import (
     mcn_greedy,
     mcn_predicted,
 )
-from .tensor import (
-    AdjacencyTensor,
-    BlowupError,
-    ControlMatrix,
-    InputSchedule,
-    Trajectory,
-    drift,
-    simulate,
-)
+from .tensor import AdjacencyTensor, ControlMatrix
 
 __version__ = "0.1.0"

@@ -1,54 +1,26 @@
 """Command-line interface.
 
-Results go to stdout as key-sorted JSON (or CSV for trajectories and
-benchmarks); diagnostics go to stderr. Exit codes: 0 success, 1 file or
-parse problems, or an input too large for memory (the message names the
-file), 2 parameter problems, 3 exhaustive-search guard exceeded.
-The rank tolerance is a cutoff in [0, 1) on the singular values of the
-unit-scaled residual that a new closure column leaves outside the span
-already closed; the default is n * 1e-10 for n nodes. Its default can be set
-through the HYPERCTRL_TOL environment variable; an explicit --tol wins.
+Results go to stdout as key-sorted JSON (or CSV for benchmarks);
+diagnostics go to stderr. Exit codes: 0 success, 1 file or parse problems,
+or an input too large for memory (the message names the file), 2 parameter
+problems, 3 exhaustive-search guard exceeded.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from functools import partial
-
-import numpy as np
 
 from . import hypergraph as hg
 from .controllability import verdict
 from .ingest import build_hypergraph, load_time_series_csv
 from .mcn import ExactSearchGuardError, connected_components, mcn_exact, mcn_greedy
-from .tensor import BlowupError, ControlMatrix, InputSchedule, simulate
-
-TOL_ENV_VAR = "HYPERCTRL_TOL"
+from .tensor import ControlMatrix
 
 _FAMILIES = ("chain", "ring", "star", "complete", "r-chain", "r-ring", "r-star", "random")
-
-
-def _resolve_tol(args) -> float | None:
-    if getattr(args, "tol", None) is not None:
-        tol, source = args.tol, "--tol"
-    else:
-        raw = os.environ.get(TOL_ENV_VAR)
-        if raw is None:
-            return None
-        try:
-            tol, source = float(raw), TOL_ENV_VAR
-        except ValueError:
-            raise ValueError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
-    # The library rejects the same values; checking here names the flag or the
-    # variable. A unit residual never exceeds 1, so a cutoff of 1 or more can
-    # drop the unit control columns themselves.
-    if not 0 <= tol < 1:
-        raise ValueError(f"{source} must lie in [0, 1), got {tol!r}")
-    return tol
 
 
 def _emit_json(payload: dict):
@@ -80,14 +52,16 @@ class _FileError(Exception):
     pass
 
 
-def _parse_nodes(text: str) -> tuple:
+def _parse_nodes(text: str, flag: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"expected a comma-separated node list, got {text!r}") from None
+        raise ValueError(
+            f"{flag}: expected a comma-separated integer list, got {text!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +127,27 @@ def _solve_by_component(graph: hg.Hypergraph, solve, counts: bool = False) -> di
 
 
 def cmd_mcn(args) -> int:
-    tol = _resolve_tol(args)
     graph = _load_graph(args.hypergraph)
     started = time.perf_counter()
     if args.method == "exact":
-        solve = partial(mcn_exact, tol=tol, guard=args.guard)
+        solve = partial(mcn_exact, guard=args.guard)
     else:
-        solve = partial(mcn_greedy, tol=tol, tie_break=args.tie_break, seed=args.seed)
+        solve = partial(mcn_greedy, tie_break=args.tie_break, seed=args.seed)
     solved = _solve_by_component(graph, solve, counts=args.report)
     elapsed = time.perf_counter() - started
     payload = {"method": args.method, **solved, "n": graph.n}
     if args.report:
-        payload = _report("mcn", args, tol, graph, payload, {"compute_s": elapsed})
+        payload = _report("mcn", args, graph, payload, {"compute_s": elapsed})
     _emit_json(payload)
     return 0
 
 
 def cmd_check(args) -> int:
-    tol = _resolve_tol(args)
     graph = _load_graph(args.hypergraph)
-    controls = ControlMatrix(nodes=_parse_nodes(args.controls))
+    controls = ControlMatrix(nodes=_parse_nodes(args.controls, "--controls"))
     tensor = hg.adjacency_auto(graph)
     started = time.perf_counter()
-    result = verdict(tensor, controls, tol=tol)
+    result = verdict(tensor, controls)
     elapsed = time.perf_counter() - started
     payload = {
         "rank": result.rank,
@@ -185,7 +157,7 @@ def cmd_check(args) -> int:
         "controls": list(controls.nodes),
     }
     if args.report:
-        payload = _report("check", args, tol, graph, payload, {"compute_s": elapsed})
+        payload = _report("check", args, graph, payload, {"compute_s": elapsed})
     _emit_json(payload)
     return 0
 
@@ -203,63 +175,15 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    graph = _load_graph(args.hypergraph)
-    tensor = hg.adjacency_auto(graph)
-    x0 = np.array([float(tok) for tok in args.x0.split(",")])
-    controls = ControlMatrix(nodes=_parse_nodes(args.controls))
-    schedule = None
-    if args.input_schedule_file:
-        schedule = _load_schedule(args.input_schedule_file, controls.m)
-    trajectory = simulate(
-        tensor, controls, x0, schedule=schedule, T=args.T, dt=args.dt
-    )
-    writer = sys.stdout
-    writer.write("t," + ",".join(f"x{j}" for j in range(1, graph.n + 1)) + "\n")
-    for t, state in trajectory:
-        writer.write(f"{t:.12g}," + ",".join(f"{v:.12g}" for v in state) + "\n")
-    return 0
-
-
-def _load_schedule(path: str, m: int) -> InputSchedule:
-    try:
-        with open(path) as fh:
-            rows = [
-                (lineno, line.strip().split(","))
-                for lineno, line in enumerate(fh, start=1)
-                if line.strip()
-            ]
-    except OSError as exc:
-        raise _FileError(f"{path}: {exc.strerror or exc}") from None
-    times = []
-    values = []
-    for lineno, row in rows:
-        if len(row) != m + 1:
-            raise _FileError(
-                f"{path}: line {lineno}: {len(row)} fields, expected {m + 1} "
-                "(time plus one column per control channel)"
-            )
-        try:
-            times.append(float(row[0]))
-            values.append([float(tok) for tok in row[1:]])
-        except ValueError as exc:
-            raise _FileError(f"{path}: line {lineno}: {exc}") from None
-    try:
-        return InputSchedule(tuple(times), np.array(values))
-    except ValueError as exc:
-        raise _FileError(f"{path}: {exc}") from None
-
-
 def cmd_bench(args) -> int:
     n_lo, n_hi = args.n_range
-    seeds = [int(tok) for tok in args.seeds.split(",")] if args.seeds else [0]
+    seeds = list(_parse_nodes(args.seeds, "--seeds")) or [0]
     rows = run_benchmark(
         family=args.family,
         k=args.k,
         n_values=range(n_lo, n_hi + 1),
         seeds=seeds,
         density=args.density,
-        tol=_resolve_tol(args),
         guard=args.guard,
     )
     print("family,n,k,seed,exact_value,greedy_value,agree,exact_time_s,greedy_time_s")
@@ -272,7 +196,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def run_benchmark(family, k, n_values, seeds, density=0.5, tol=None, guard=20):
+def run_benchmark(family, k, n_values, seeds, density=0.5, guard=20):
     """Exact-versus-greedy comparison rows, both solved per connected
     component as ``mcn`` does; importable for tests."""
     rows = []
@@ -285,9 +209,9 @@ def run_benchmark(family, k, n_values, seeds, density=0.5, tol=None, guard=20):
             else:
                 raise ValueError(f"bench family must be random or complete, got {family!r}")
             t0 = time.perf_counter()
-            exact = _solve_by_component(graph, partial(mcn_exact, tol=tol, guard=guard))["value"]
+            exact = _solve_by_component(graph, partial(mcn_exact, guard=guard))["value"]
             t1 = time.perf_counter()
-            greedy = _solve_by_component(graph, partial(mcn_greedy, tol=tol))["value"]
+            greedy = _solve_by_component(graph, mcn_greedy)["value"]
             t2 = time.perf_counter()
             rows.append(
                 {
@@ -305,16 +229,12 @@ def run_benchmark(family, k, n_values, seeds, density=0.5, tol=None, guard=20):
     return rows
 
 
-def _report(command, args, tol, graph, result, timings) -> dict:
-    # the resolved tolerance, so a value taken from HYPERCTRL_TOL is recorded
-    parameters = {"tol": tol}
-    for key in ("method", "tie_break", "seed", "guard", "controls"):
-        if hasattr(args, key):
-            parameters[key] = getattr(args, key)
+def _report(command, args, graph, result, timings) -> dict:
+    keys = ("method", "tie_break", "seed", "guard", "controls")
     return {
         "command": command,
         "digest": _digest(graph),
-        "parameters": parameters,
+        "parameters": {key: getattr(args, key) for key in keys if hasattr(args, key)},
         "result": result,
         "timings": timings,
     }
@@ -343,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     mcn_p = sub.add_parser("mcn", help="minimum control nodes of a hypergraph file")
     mcn_p.add_argument("hypergraph", help="hypergraph JSON file")
     mcn_p.add_argument("--method", choices=("exact", "greedy"), default="greedy")
-    mcn_p.add_argument("--tol", type=float)
     mcn_p.add_argument("--tie-break", dest="tie_break",
                        choices=("degree", "index", "random"), default="degree",
                        help="how greedy breaks ties on the rank gain: highest degree "
@@ -362,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="controllability verdict for a control set")
     check.add_argument("hypergraph", help="hypergraph JSON file")
     check.add_argument("--controls", default="", help="comma-separated node list")
-    check.add_argument("--tol", type=float)
     check.add_argument("--report", action="store_true")
     check.set_defaults(func=cmd_check)
 
@@ -374,16 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="first CSV row lists channel labels")
     ing.set_defaults(func=cmd_ingest)
 
-    sim = sub.add_parser("simulate", help="integrate the controlled dynamics")
-    sim.add_argument("hypergraph", help="hypergraph JSON file")
-    sim.add_argument("--x0", required=True, help="comma-separated initial state")
-    sim.add_argument("--controls", default="", help="comma-separated control nodes")
-    sim.add_argument("--input-schedule-file", dest="input_schedule_file",
-                     help="CSV of breakpoints: time,u1,...,um")
-    sim.add_argument("--T", type=float, default=1.0)
-    sim.add_argument("--dt", type=float, default=1e-3)
-    sim.set_defaults(func=cmd_simulate)
-
     bench = sub.add_parser("bench", help="exact-versus-greedy timing table (CSV)")
     bench.add_argument("--family", choices=("random", "complete"), required=True)
     bench.add_argument("--k", type=int, required=True)
@@ -391,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inclusive range lo:hi")
     bench.add_argument("--seeds", default="", help="comma-separated seeds")
     bench.add_argument("--density", type=float, default=0.5)
-    bench.add_argument("--tol", type=float)
     bench.add_argument("--guard", type=int, default=20)
     bench.set_defaults(func=cmd_bench)
 
@@ -427,9 +334,6 @@ def main(argv=None) -> int:
         detail = str(exc) or "allocation failed"
         print(f"error: {where}input too large for memory: {detail}", file=sys.stderr)
         return 1
-    except BlowupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,8 +7,8 @@ added in the round before. Each result is divided by the tensor's cached
 scale (see ``_Kernel``), and one whose norm is then at or under the rounding
 floor n * 4 * eps is dropped as rounding noise. Every other result is scaled
 to unit norm and projected out of the basis twice, and an SVD of that
-residual keeps the singular values above the cutoff. The rounds stop at rank
-n or when one adds nothing.
+residual keeps the singular values above the cutoff n * 1e-10. The rounds
+stop at rank n or when one adds nothing.
 ``closure_basis`` is the one way in for ``verdict`` and the MCN searches.
 """
 from __future__ import annotations
@@ -38,8 +38,8 @@ class ReducedControllabilityMatrix:
     """Orthonormal basis of the controllability subspace.
 
     ``rank`` equals the column count of ``basis``; ``iterations`` counts the
-    frontier rounds executed; ``tolerance`` is the cutoff on the singular
-    values of unit-scaled residuals (n * 1e-10 unless the caller sets one).
+    frontier rounds executed; ``tolerance`` records the cutoff on the
+    singular values of unit-scaled residuals, always n * 1e-10.
     Before that cutoff applies, every contracted column is divided by a
     scale that bounds the tensor applied to unit columns, and one at or
     under the rounding floor n * 4 * eps is dropped; relative to the scale,
@@ -92,7 +92,6 @@ def _extend(
 def closure_basis(
     tensor: AdjacencyTensor,
     start: np.ndarray,
-    tol: float | None = None,
     *,
     closed: np.ndarray | None = None,
 ) -> ReducedControllabilityMatrix:
@@ -100,17 +99,14 @@ def closure_basis(
 
     Accepts an arbitrary n x m starting matrix; the result depends only on
     its column space. ``closed`` is an orthonormal basis of a span that is
-    already closed; only the rounds that ``start`` adds to it are run.
+    already closed; only the rounds that ``start`` adds to it are run. A
+    residual direction counts when its singular value exceeds n * 1e-10.
 
     Raises:
-        ValueError: ``tol`` is not in [0, 1), or a matrix lacks n rows.
+        ValueError: a matrix lacks n rows.
     """
     n = tensor.dim
-    if tol is not None and not 0 <= tol < 1:
-        # a unit column leaves a residual of norm <= 1: a cutoff of 1 or more
-        # could drop the control columns themselves
-        raise ValueError(f"rank tolerance must lie in [0, 1), got {tol!r}")
-    cutoff = n * 1e-10 if tol is None else float(tol)
+    cutoff = n * 1e-10
     basis = np.zeros((n, 0)) if closed is None else np.asarray(closed, dtype=np.float64)
     start = np.asarray(start, dtype=np.float64)
     for name, mat in (("start", start), ("closed", basis)):
@@ -146,18 +142,14 @@ def closure_basis(
     )
 
 
-def verdict(
-    tensor: AdjacencyTensor,
-    controls: ControlMatrix,
-    tol: float | None = None,
-) -> ControllabilityVerdict:
+def verdict(tensor: AdjacencyTensor, controls: ControlMatrix) -> ControllabilityVerdict:
     """Full-rank test of the controllability subspace.
 
     A full rank certifies strong controllability when the tensor order is
     even (odd-degree drift). For odd orders the same rank condition only
     certifies accessibility, and the verdict says so; it is never upgraded.
     """
-    reduced = closure_basis(tensor, controls.matrix(tensor.dim), tol=tol)
+    reduced = closure_basis(tensor, controls.matrix(tensor.dim))
     kind = VerdictKind.STRONG if tensor.order % 2 == 0 else VerdictKind.ACCESSIBILITY
     return ControllabilityVerdict(
         rank=reduced.rank, full=reduced.rank == tensor.dim, kind=kind

@@ -77,39 +77,52 @@ def _twin_classes(tensor: AdjacencyTensor) -> list[tuple]:
 
     Nodes i and j are twins when swapping them maps every stored pattern to
     a stored pattern with the same coefficient. The swaps that do form a
-    group, so twinship is an equivalence and a node only needs checking
-    against one member of each class. Nodes are bucketed by the multiset of
-    (multiplicity, coefficient) over their patterns, which twins share; a
-    node is then checked against the first member of each class in its
-    bucket, stopping at the first pattern that does not map. Checking the
-    patterns of one node suffices: equal buckets give both nodes as many
-    patterns, so a swap that maps one node's patterns into the stored ones
-    maps the other's back onto them.
+    group, so twinship is an equivalence, and a node joins the class of any
+    lower twin it has. Lower twins are found in two ways:
+
+    - two nodes in no common pattern are twins exactly when they have the
+      same set of (pattern with the node removed, coefficient), and no two
+      nodes in a common pattern share that set; so a node whose set some
+      lower node already has is that node's twin;
+    - a node in a common pattern with a lower node, with as many patterns,
+      is checked against it, stopping at the first pattern that does not
+      map. Equal counts make the check one-sided: a swap that maps one
+      node's patterns into the stored ones maps the other's back onto them.
+
+    Each node costs its own patterns and those of its pattern neighbours,
+    not the node count.
     """
+    entries = tensor.entries
     incidence: list[list] = [[] for _ in range(tensor.dim + 1)]
-    for pattern, coef in tensor.entries.items():
+    for pattern, coef in entries.items():
         for j in set(pattern):
             incidence[j].append((pattern, coef))
-    entries = tensor.entries
 
     def swaps_onto_stored(i: int, j: int) -> bool:
         swap = {i: j, j: i}
-        return all(
+        return len(incidence[i]) == len(incidence[j]) and all(
             entries.get(tuple(sorted(swap.get(v, v) for v in pattern))) == coef
             for pattern, coef in incidence[j]
         )
 
-    buckets: dict = {}
+    classes: list[list[int]] = []
+    class_of = [0] * (tensor.dim + 1)
+    first_with_key: dict = {}
     for j in range(1, tensor.dim + 1):
-        key = tuple(sorted((pattern.count(j), coef) for pattern, coef in incidence[j]))
-        bucket = buckets.setdefault(key, [])
-        for members in bucket:
-            if swaps_onto_stored(members[0], j):
-                members.append(j)
-                break
+        key = tuple(sorted(
+            (tuple(v for v in pattern if v != j), coef) for pattern, coef in incidence[j]
+        ))
+        twin = first_with_key.setdefault(key, j)
+        if twin == j:
+            neighbours = {v for pattern, _ in incidence[j] for v in pattern if v < j}
+            twin = next((i for i in neighbours if swaps_onto_stored(i, j)), j)
+        if twin == j:
+            class_of[j] = len(classes)
+            classes.append([j])
         else:
-            bucket.append([j])
-    return sorted(tuple(members) for bucket in buckets.values() for members in bucket)
+            class_of[j] = class_of[twin]
+            classes[class_of[j]].append(j)
+    return [tuple(members) for members in classes]
 
 
 def _twin_orbit(subset: tuple, classes: list[tuple]) -> list[tuple]:
@@ -143,10 +156,7 @@ def connected_components(tensor: AdjacencyTensor) -> list[Component]:
 
 
 def mcn_exact(
-    tensor: AdjacencyTensor,
-    tol: float | None = None,
-    guard: int = 20,
-    all_witnesses: bool = False,
+    tensor: AdjacencyTensor, guard: int = 20, all_witnesses: bool = False
 ) -> MCNResult:
     """Smallest control set by exhaustive search.
 
@@ -202,7 +212,7 @@ def mcn_exact(
         last = prefix[-1] if prefix else 0
         if prefix:
             counts["closures"] += 1
-            if closure_basis(tensor, eye[:, last:], tol=tol, closed=basis).rank < n:
+            if closure_basis(tensor, eye[:, last:], closed=basis).rank < n:
                 return
         for j in range(last + 1, n - free + 2):
             if lower_twin[j] and lower_twin[j] not in prefix:
@@ -212,7 +222,7 @@ def mcn_exact(
             if n_comps - len({comp_ids[i - 1] for i in child}) > free - 1:
                 continue
             counts["closures"] += 1
-            res = closure_basis(tensor, eye[:, j - 1 : j], tol=tol, closed=basis)
+            res = closure_basis(tensor, eye[:, j - 1 : j], closed=basis)
             if res.rank == basis.shape[1]:
                 continue
             if free > 1:
@@ -244,10 +254,7 @@ def mcn_exact(
 
 
 def mcn_greedy(
-    tensor: AdjacencyTensor,
-    tol: float | None = None,
-    tie_break: str = "degree",
-    seed: int | None = None,
+    tensor: AdjacencyTensor, tie_break: str = "degree", seed: int | None = None
 ) -> MCNResult:
     """Greedy control-node selection by maximum rank gain.
 
@@ -275,7 +282,9 @@ def mcn_greedy(
     tie.
 
     Raises:
-        ValueError: no candidate raises the rank at the given tolerance.
+        ValueError: ``tie_break`` is unknown, ``random`` lacks a seed, or no
+            candidate raises the rank; that last is a guard, since in exact
+            arithmetic any node outside the span raises it.
     """
     if tie_break not in ("degree", "index", "random"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
@@ -306,7 +315,7 @@ def mcn_greedy(
                     counts["twins"] += 1
                     continue
                 seen.add(class_of[j])
-            res = closure_basis(tensor, ControlMatrix((j,)).matrix(n), tol=tol, closed=basis)
+            res = closure_basis(tensor, ControlMatrix((j,)).matrix(n), closed=basis)
             counts["closures"] += 1
             evaluated.append((j, res))
             if prune and res.rank == n:
@@ -314,11 +323,7 @@ def mcn_greedy(
                 break
         best_rank = max(res.rank for _, res in evaluated)
         if best_rank <= rank:
-            # a large tolerance can cut off the new direction of every candidate
-            raise ValueError(
-                f"no candidate raises the rank above {rank} of {n} at rank "
-                f"tolerance {tol!r}; use a smaller tolerance"
-            )
+            raise ValueError(f"no candidate raises the rank above {rank} of {n}")
         tied = [pos for pos, (_, res) in enumerate(evaluated) if res.rank == best_rank]
         pick = tied[0] if prune else tied[_splitmix64(seed, len(chosen)) % len(tied)]
         node, res = evaluated[pick]

@@ -15,25 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-
-
-class BlowupError(RuntimeError):
-    """Raised when an integrated trajectory leaves the finite range.
-
-    Carries the last finite sample so callers can inspect how far the
-    integration got before the polynomial field blew up.
-    """
-
-    def __init__(self, time: float, state: np.ndarray):
-        super().__init__(
-            f"state became non-finite after t={time:.6g}; "
-            "the polynomial drift has finite-time blow-up"
-        )
-        self.last_time = time
-        self.last_state = state
 
 
 @dataclass
@@ -167,16 +150,6 @@ def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
     )
 
 
-def drift(tensor: AdjacencyTensor, x: np.ndarray) -> np.ndarray:
-    """Evaluate the homogeneous degree-(k-1) drift field at state x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tensor.dim,):
-        raise ValueError(f"state has shape {x.shape}, expected ({tensor.dim},)")
-    basis = x.reshape(-1, 1)
-    ms = np.zeros((tensor.order - 1, 1), dtype=np.intp)
-    return _apply_multisets(tensor, basis, ms)[:, 0]
-
-
 @dataclass(frozen=True)
 class ControlMatrix:
     """Control attachment points: column j of B is the basis vector e_nodes[j].
@@ -194,10 +167,6 @@ class ControlMatrix:
         if any(j < 1 for j in self.nodes):
             raise ValueError(f"control nodes must be >= 1, got {self.nodes}")
 
-    @property
-    def m(self) -> int:
-        return len(self.nodes)
-
     def matrix(self, n: int) -> np.ndarray:
         """Dense n x m matrix of standard basis columns."""
         if any(j > n for j in self.nodes):
@@ -206,123 +175,3 @@ class ControlMatrix:
         for col, j in enumerate(self.nodes):
             mat[j - 1, col] = 1.0
         return mat
-
-
-@dataclass(frozen=True)
-class InputSchedule:
-    """Piecewise-constant input signal over [0, T].
-
-    ``times`` are strictly increasing breakpoints starting at 0; row i of
-    ``values`` holds from times[i] until the next breakpoint.
-    """
-
-    times: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if len(times) == 0:
-            raise ValueError("schedule needs at least one breakpoint")
-        if times[0] != 0.0:
-            raise ValueError(f"first breakpoint must be t=0, got {times[0]}")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("breakpoint times must be strictly increasing")
-        if values.shape[0] != len(times):
-            raise ValueError(
-                f"{len(times)} breakpoints but {values.shape[0]} value rows"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("schedule values must be finite")
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def constant(cls, u: Sequence[float]) -> "InputSchedule":
-        return cls((0.0,), np.asarray(u, dtype=np.float64).reshape(1, -1))
-
-    def value_at(self, t: float) -> np.ndarray:
-        idx = 0
-        for i, brk in enumerate(self.times):
-            if brk <= t:
-                idx = i
-            else:
-                break
-        return self.values[idx]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled solution of the controlled dynamics."""
-
-    times: np.ndarray
-    states: np.ndarray  # len(times) x n
-
-    def __iter__(self):
-        return ((t, x) for t, x in zip(self.times, self.states))
-
-
-def simulate(
-    tensor: AdjacencyTensor,
-    controls: ControlMatrix,
-    x0: np.ndarray,
-    schedule: InputSchedule | None = None,
-    T: float = 1.0,
-    dt: float = 1e-3,
-) -> Trajectory:
-    """Integrate dx/dt = (drift at x) + B u(t) with classical fixed-step RK4.
-
-    The input is piecewise constant per ``schedule`` (zero when omitted).
-    The final sample lands exactly at t=T; the last step is shortened when
-    T/dt is not integral.
-
-    Raises:
-        BlowupError: the state left the finite range; the exception carries
-            the last finite sample and its time.
-    """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    if not (math.isfinite(T) and T >= 0):
-        raise ValueError(f"T must be finite and nonnegative, got {T}")
-    x = np.asarray(x0, dtype=np.float64).copy()
-    if x.shape != (tensor.dim,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({tensor.dim},)")
-    if not np.isfinite(x).all():
-        raise ValueError("x0 must be finite")
-    B = controls.matrix(tensor.dim)
-    if schedule is None and controls.m:
-        schedule = InputSchedule.constant(np.zeros(controls.m))
-    if schedule is not None and schedule.channels != controls.m:
-        raise ValueError(
-            f"schedule has {schedule.channels} channels but B has {controls.m} columns"
-        )
-
-    def field_at(t: float, state: np.ndarray) -> np.ndarray:
-        out = drift(tensor, state)
-        if controls.m:
-            out = out + B @ schedule.value_at(t)
-        return out
-
-    times = [0.0]
-    states = [x.copy()]
-    t = 0.0
-    while t < T - 1e-12:
-        h = min(dt, T - t)
-        # overflow shows up as a non-finite x_next, reported just below
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = field_at(t, x)
-            k2 = field_at(t + h / 2, x + (h / 2) * k1)
-            k3 = field_at(t + h / 2, x + (h / 2) * k2)
-            k4 = field_at(t + h, x + h * k3)
-            x_next = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(x_next).all():
-            raise BlowupError(t, x)
-        t += h
-        x = x_next
-        times.append(t)
-        states.append(x.copy())
-    return Trajectory(np.asarray(times), np.asarray(states))

@@ -186,9 +186,7 @@ def max_eigen_multiplicity(tensor: AdjacencyTensor) -> int:
     return max(power for _, power in factors)
 
 
-def exact_mcn_reference(
-    tensor: AdjacencyTensor, tol: float | None = None, all_witnesses: bool = False
-) -> MCNResult:
+def exact_mcn_reference(tensor: AdjacencyTensor, all_witnesses: bool = False) -> MCNResult:
     """Exhaustive search that closes every subset cold, in plain order.
 
     Sizes in increasing order and, within a size, subsets in lexicographic
@@ -204,7 +202,7 @@ def exact_mcn_reference(
         for subset in itertools.combinations(range(1, n + 1), m):
             if {comp_ids[j - 1] for j in subset} != all_ids:
                 continue
-            if closure_basis(tensor, ControlMatrix(subset).matrix(n), tol=tol).rank == n:
+            if closure_basis(tensor, ControlMatrix(subset).matrix(n)).rank == n:
                 found.append(subset)
                 if not all_witnesses:
                     break
@@ -219,10 +217,7 @@ def exact_mcn_reference(
 
 
 def greedy_reference(
-    tensor: AdjacencyTensor,
-    tol: float | None = None,
-    tie_break: str = "degree",
-    seed: int | None = None,
+    tensor: AdjacencyTensor, tie_break: str = "degree", seed: int | None = None
 ) -> MCNResult:
     """Greedy search that evaluates every remaining candidate at every step.
 
@@ -239,7 +234,7 @@ def greedy_reference(
     while basis.shape[1] < n:
         remaining = [j for j in range(1, n + 1) if j not in chosen]
         results = [
-            closure_basis(tensor, ControlMatrix((j,)).matrix(n), tol=tol, closed=basis)
+            closure_basis(tensor, ControlMatrix((j,)).matrix(n), closed=basis)
             for j in remaining
         ]
         best = max(res.rank for res in results)

@@ -38,6 +38,7 @@ class TestReducedControllability:
         res = closure_of(A, (1, 2, 3))
         assert res.rank == 4
         assert res.iterations == 1
+        assert res.tolerance == 4 * 1e-10
 
     def test_single_edge_two_controls_stuck(self):
         # every expansion multiset repeats a unit column, so nothing is added
@@ -167,22 +168,6 @@ class TestReducedControllability:
         e3[2, 0] = 1.0
         warm = closure_basis(A, np.hstack([partial.basis, e3]))
         assert warm.rank == cold.rank
-
-    def test_user_tolerance_is_absolute_cutoff(self):
-        A = hc.adjacency_auto(hc.complete(4, 4))
-        res = closure_of(A, (1, 2, 3), tol=1e-12)
-        assert res.tolerance == 1e-12
-        assert res.rank == 4
-        assert closure_of(A, (1, 2, 3)).tolerance == 4 * 1e-10
-        # a unit residual never exceeds 1, so a cutoff of 1 or more is refused
-        with pytest.raises(ValueError, match=r"\[0, 1\), got 10\.0"):
-            closure_of(A, (1, 2, 3), tol=10.0)
-
-    @pytest.mark.parametrize("tol", [-1e-9, 1.0, 2.0, float("nan"), float("inf")])
-    def test_tolerance_outside_unit_interval_rejected(self, tol):
-        A = hc.adjacency_auto(hc.hyperchain(6, 3))
-        with pytest.raises(ValueError, match="rank tolerance must lie in"):
-            closure_of(A, (1, 2), tol=tol)
 
     def test_closed_basis_warm_start_adds_only_the_new_span(self):
         A = hc.adjacency_auto(hc.hyperring(8, 4))

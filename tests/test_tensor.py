@@ -1,9 +1,7 @@
-"""Tensor storage, contraction, and dynamics integration."""
+"""Tensor storage and contraction."""
 from __future__ import annotations
 
 import itertools
-import math
-import warnings
 
 import numpy as np
 import pytest
@@ -211,116 +209,28 @@ class TestAlgebraicProperties:
     def test_drift_homogeneity(self, case, c):
         A, vecs = case
         x = vecs[0]
-        lhs = hc.drift(A, c * x)
-        rhs = c ** (A.order - 1) * hc.drift(A, x)
+        k = A.order
+        lhs = ttv_multi(A, [c * x] * (k - 1))
+        rhs = c ** (k - 1) * ttv_multi(A, [x] * (k - 1))
         scale = max(1.0, np.abs(rhs).max())
         assert lhs == pytest.approx(rhs, abs=1e-12 * scale)
 
 
 class TestDrift:
+    # the drift A x^(k-1) is the tensor contracted with k - 1 copies of x
     def test_triangle_polynomials(self):
         # one 3-edge: coordinate fields are the opposite-pair products
         A = single_edge_tensor(3, (1, 2, 3))
         x = np.array([2.0, 3.0, 5.0])
-        assert hc.drift(A, x) == pytest.approx([15.0, 10.0, 6.0])
+        assert ttv_multi(A, [x] * 2) == pytest.approx([15.0, 10.0, 6.0])
 
     def test_all_ones_fixed_point_shape(self):
         A = single_edge_tensor(3, (1, 2, 3))
-        assert hc.drift(A, np.ones(3)) == pytest.approx([1.0, 1.0, 1.0])
+        assert ttv_multi(A, [np.ones(3)] * 2) == pytest.approx([1.0, 1.0, 1.0])
 
     def test_zero_state(self):
         A = single_edge_tensor(3, (1, 2, 3))
-        assert np.array_equal(hc.drift(A, np.zeros(3)), np.zeros(3))
-
-
-class TestSimulate:
-    def test_symmetric_blowup_closed_form(self):
-        # x' = x^2 per coordinate from the symmetric start: x(t) = 1/(1-t)
-        A = single_edge_tensor(3, (1, 2, 3))
-        traj = hc.simulate(
-            A, hc.ControlMatrix(()), np.ones(3), T=0.5, dt=1e-4
-        )
-        assert traj.times[-1] == pytest.approx(0.5, abs=1e-12)
-        assert traj.states[-1] == pytest.approx([2.0, 2.0, 2.0], abs=1e-6)
-
-    def test_zero_state_is_equilibrium(self):
-        A = single_edge_tensor(3, (1, 2, 3))
-        traj = hc.simulate(A, hc.ControlMatrix(()), np.zeros(3), T=1.0, dt=0.01)
-        assert np.all(traj.states == 0.0)
-
-    def test_T_zero_single_sample(self):
-        A = single_edge_tensor(3, (1, 2, 3))
-        traj = hc.simulate(A, hc.ControlMatrix(()), np.ones(3), T=0.0, dt=0.1)
-        assert len(traj.times) == 1
-        assert traj.times[0] == 0.0
-        assert np.array_equal(traj.states[0], np.ones(3))
-
-    def test_rk4_convergence_order(self):
-        A = single_edge_tensor(3, (1, 2, 3))
-        exact = 2.0
-
-        def err(dt):
-            traj = hc.simulate(A, hc.ControlMatrix(()), np.ones(3), T=0.5, dt=dt)
-            return abs(traj.states[-1][0] - exact)
-
-        ratio = err(0.02) / err(0.01)
-        assert 8.0 <= ratio <= 32.0
-
-    def test_blowup_carries_last_finite_sample(self):
-        A = single_edge_tensor(3, (1, 2, 3))
-        with pytest.raises(hc.BlowupError) as info:
-            hc.simulate(A, hc.ControlMatrix(()), np.ones(3), T=2.0, dt=1e-3)
-        assert 0.9 < info.value.last_time < 1.1
-        assert np.isfinite(info.value.last_state).all()
-
-    def test_blowup_raises_without_numpy_warnings(self):
-        A = single_edge_tensor(3, (1, 2, 3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(hc.BlowupError):
-                hc.simulate(A, hc.ControlMatrix(()), np.ones(3), T=2.0, dt=1e-3)
-
-    @pytest.mark.parametrize(
-        "T, dt, name",
-        [(math.inf, 0.1, "T"), (math.nan, 0.1, "T"), (1.0, math.nan, "dt")],
-    )
-    def test_non_finite_horizon_or_step_rejected(self, T, dt, name):
-        A = single_edge_tensor(3, (1, 2, 3))
-        # from the zero equilibrium an unbounded horizon would never blow up
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            hc.simulate(A, hc.ControlMatrix(()), np.zeros(3), T=T, dt=dt)
-
-    def test_constant_input_linear_growth(self):
-        # no edges: dx/dt = B u exactly
-        A = hc.AdjacencyTensor(order=2, dim=2, entries={})
-        sched = hc.InputSchedule.constant([0.5])
-        traj = hc.simulate(
-            A, hc.ControlMatrix((2,)), np.zeros(2), schedule=sched, T=1.0, dt=0.01
-        )
-        assert traj.states[-1] == pytest.approx([0.0, 0.5], abs=1e-12)
-
-    def test_piecewise_schedule_switches(self):
-        A = hc.AdjacencyTensor(order=2, dim=1, entries={})
-        sched = hc.InputSchedule((0.0, 0.5), np.array([[1.0], [-1.0]]))
-        assert sched.value_at(0.49)[0] == 1.0
-        assert sched.value_at(0.5)[0] == -1.0
-        traj = hc.simulate(
-            A, hc.ControlMatrix((1,)), np.zeros(1), schedule=sched, T=1.0, dt=0.01
-        )
-        # one RK4 stage straddles the switch, leaving an O(dt) residue
-        assert traj.states[-1][0] == pytest.approx(0.0, abs=0.01)
-
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError, match="t=0"):
-            hc.InputSchedule((0.5,), np.array([[1.0]]))
-        with pytest.raises(ValueError, match="increasing"):
-            hc.InputSchedule((0.0, 0.0), np.array([[1.0], [2.0]]))
-
-    def test_channel_mismatch(self):
-        A = hc.AdjacencyTensor(order=2, dim=2, entries={})
-        sched = hc.InputSchedule.constant([1.0, 2.0])
-        with pytest.raises(ValueError, match="channels"):
-            hc.simulate(A, hc.ControlMatrix((1,)), np.zeros(2), schedule=sched, T=0.1)
+        assert np.array_equal(ttv_multi(A, [np.zeros(3)] * 2), np.zeros(3))
 
 
 class TestControlMatrix:
