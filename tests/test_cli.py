@@ -92,25 +92,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"error: {flag}: expected a comma-separated integer list, got '1,,2'\n"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["simulate", "GRAPH", "--x0", "0,0,0,0,0"],
-            ["mcn", "GRAPH", "--tol", "1e-9"],
-            ["check", "GRAPH", "--controls", "1", "--tol", "1e-9"],
-            ["bench", "--family", "complete", "--k", "2", "--n-range", "3:3",
-             "--tol", "1e-9"],
-        ],
-        ids=["simulate", "mcn-tol", "check-tol", "bench-tol"],
-    )
-    def test_removed_subcommand_and_flag_are_usage_errors(self, tmp_path, capsys, argv):
+    def test_removed_subcommand_is_usage_error(self, tmp_path, capsys):
         path = write_graph(tmp_path, CHAIN5)
-        argv = [path if tok == "GRAPH" else tok for tok in argv]
         with pytest.raises(SystemExit) as info:
-            cli.main(argv)
+            cli.main(["simulate", path, "--x0", "0,0,0,0,0"])
         out, err = capsys.readouterr()
         assert info.value.code == 2 and out == ""
         assert "usage: hyperctrl" in err
+        assert "invalid choice: 'simulate'" in err
 
     def test_exact_guard_exceeded(self, tmp_path, capsys):
         path = write_graph(tmp_path, {"n": 4, "edges": [[1, 2, 3, 4]]})
@@ -203,6 +192,30 @@ class TestReport:
 
 
 STAR63 = {"n": 6, "edges": [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6]]}
+
+
+class TestTolerance:
+    # the rank cutoff is fixed at n * 1e-10: no subcommand takes --tol, so
+    # argparse refuses it whatever the value
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1", "2", "1e300"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "GRAPH", "--controls", "1"],
+            ["mcn", "GRAPH"],
+            ["bench", "--family", "complete", "--k", "2", "--n-range", "3:3"],
+        ],
+    )
+    @pytest.mark.parametrize("source", ["--tol"])
+    def test_negative_or_non_finite_rejected(self, tmp_path, capsys, argv, value, source):
+        path = write_graph(tmp_path, STAR63)
+        argv = [path if tok == "GRAPH" else tok for tok in argv] + [source, value]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        assert "usage: hyperctrl" in err
+        assert f"unrecognized arguments: {source} {value}" in err
 
 
 class TestGenerate:
