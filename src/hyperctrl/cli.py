@@ -24,7 +24,9 @@ _FAMILIES = ("chain", "ring", "star", "complete", "r-chain", "r-ring", "r-star",
 
 
 def _emit_json(payload: dict):
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    # streamed, so that no command holds the whole indented text
+    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
 
 
 def _digest(graph: hg.Hypergraph) -> str:
@@ -127,28 +129,31 @@ def _solve_by_component(graph: hg.Hypergraph, solve, counts: bool = False) -> di
 
 
 def cmd_mcn(args) -> int:
-    graph = _load_graph(args.hypergraph)
     started = time.perf_counter()
+    graph = _load_graph(args.hypergraph)
+    loaded = time.perf_counter()
     if args.method == "exact":
         solve = partial(mcn_exact, guard=args.guard)
     else:
         solve = partial(mcn_greedy, tie_break=args.tie_break, seed=args.seed)
     solved = _solve_by_component(graph, solve, counts=args.report)
-    elapsed = time.perf_counter() - started
+    timings = {"load_s": loaded - started, "compute_s": time.perf_counter() - loaded}
     payload = {"method": args.method, **solved, "n": graph.n}
     if args.report:
-        payload = _report("mcn", args, graph, payload, {"compute_s": elapsed})
+        payload = _report("mcn", args, graph, payload, timings)
     _emit_json(payload)
     return 0
 
 
 def cmd_check(args) -> int:
+    started = time.perf_counter()
     graph = _load_graph(args.hypergraph)
+    loaded = time.perf_counter()
     controls = ControlMatrix(nodes=_parse_nodes(args.controls, "--controls"))
     tensor = hg.adjacency_auto(graph)
-    started = time.perf_counter()
+    computing = time.perf_counter()
     result = verdict(tensor, controls)
-    elapsed = time.perf_counter() - started
+    timings = {"load_s": loaded - started, "compute_s": time.perf_counter() - computing}
     payload = {
         "rank": result.rank,
         "full": result.full,
@@ -157,7 +162,7 @@ def cmd_check(args) -> int:
         "controls": list(controls.nodes),
     }
     if args.report:
-        payload = _report("check", args, graph, payload, {"compute_s": elapsed})
+        payload = _report("check", args, graph, payload, timings)
     _emit_json(payload)
     return 0
 

@@ -28,9 +28,9 @@ class MCNResult:
     ``rank_trace`` of (node added, rank after) pairs; the exact search can
     optionally enumerate every minimum witness. ``closures`` counts the
     closures the search ran and ``skipped`` what its prunes saved, by prune
-    (greedy: ``early_stop`` and ``twins`` count candidates, exact: ``twins``
-    counts children); neither takes part in equality, which compares
-    answers.
+    (greedy: ``early_stop`` and ``twins`` count candidates; exact: ``twins``
+    counts children, ``bound`` the later siblings a failed completion bound
+    cuts off); neither takes part in equality, which compares answers.
     """
 
     value: int | None
@@ -160,30 +160,45 @@ def mcn_exact(
 ) -> MCNResult:
     """Smallest control set by exhaustive search.
 
-    Subset sizes m are tried in increasing order and, within a size, subsets
-    in lexicographic order; the first full-rank subset wins. The subsets of
-    one size are walked depth first: a prefix P is extended by one node j >
-    last(P) at a time, and the child's closure is warm-started from P's, so
-    each prefix is closed once. A branch is pruned when
+    One depth-first walk visits sorted node sets as prefixes, in
+    lexicographic order: a prefix P is extended by one node j > last(P) at a
+    time, and the child's closure is warm-started from P's, so each prefix is
+    closed once. Sizes are not fixed. The walk carries a size bound, one less
+    than the smallest full-rank set found so far (n at the start), and looks
+    only at sets within it, so the bound shrinks as smaller sets turn up; the
+    walk ends once a full set has one node per connected component, the
+    floor. Restricted to one size, the walk's order is lexicographic order,
+    so the first full set of the minimum size that it meets is the first one
+    of that size in lexicographic order. A child P + j is skipped when
 
     - j has a lower twin (see ``_twin_classes``) that P lacks: swapping the
-      two maps every subset below the child onto a lexicographically smaller
-      one with the same rank, so the first full subset is never below it;
-    - e_j already lies in closure(P) (the child's rank equals P's): every
-      m-subset below it has the closure of one of size m - 1, and all of
-      those were rejected;
-    - the closure of P with every node after last(P) is not full: the
-      closure grows with its start set, so no subset below P is full;
-    - the connected components P leaves uncovered outnumber its free
-      slots: an uncovered component's coordinates never enter the span.
+      two maps every set below the child onto a lexicographically smaller
+      one of the same size and rank;
+    - e_j already lies in closure(P) (the child's rank equals P's): every set
+      below the child has the closure of the same set without j, one node
+      smaller, so none is a minimum;
+    - the connected components it leaves uncovered outnumber the nodes the
+      size bound still allows it: an uncovered component's coordinates never
+      enter the span.
 
-    The first full subset in lexicographic order is the least of its twin
-    orbit, so the twin prune keeps it, and no other prune drops a full
-    subset: the walk meets the first one where the plain enumeration does,
-    and the witness is the same. With ``all_witnesses`` the walk over the
-    minimum size runs to its end, and each full subset it finds stands for
-    its twin orbit, whose members are all full; the orbits, expanded, are
-    every full subset, returned in lexicographic order.
+    A full child is a candidate, and nothing below it is smaller. Below any
+    other child lie only subsets of P + {j..n}, whose closure is the child's
+    completion bound. When that bound is not full, nothing below the child
+    is full, and as the bound only shrinks with j, nothing below a later
+    sibling is either: P's loop over its children ends there. A child at the
+    size bound has no children to look at, and its bound is not computed.
+
+    No rule drops a prefix of the lexicographically first minimum set W: W
+    holds the lower twin of each of its members (it is the least of its twin
+    orbit), each of its nodes raises the rank (or W less that node would be
+    full), it covers every component, and each of its prefixes' bounds holds
+    closure(W). So the witness is the one the plain enumeration by size
+    finds. With ``all_witnesses`` the bound is the size of the smallest full
+    set found, not one less, and the walk keeps every full set of that size.
+    The same argument keeps every minimum set that takes the lowest members
+    of each twin class, and each stands for its twin orbit, whose members
+    are all full; the orbits, expanded, are every minimum full set, returned
+    in lexicographic order.
 
     Raises:
         ExactSearchGuardError: n exceeds ``guard``; use the greedy search.
@@ -203,44 +218,46 @@ def mcn_exact(
         for lo, hi in zip(members, members[1:]):
             lower_twin[hi] = lo
     eye = np.eye(n)
-    counts = {"closures": 0, "twins": 0}
+    counts = {"closures": 0, "twins": 0, "bound": 0}
+    found: list[tuple] = []
+    # the largest set size still worth a look: one less than the smallest
+    # full set found, or equal to it when every witness is wanted; a bound
+    # under the component count leaves nothing to look at
+    limit = n
 
-    def full_sets(m: int, prefix: tuple, basis: np.ndarray):
-        # full-rank m-subsets below ``prefix`` that take the lowest members
-        # of each twin class, in lexicographic order
-        free = m - len(prefix)
-        last = prefix[-1] if prefix else 0
-        if prefix:
-            counts["closures"] += 1
-            if closure_basis(tensor, eye[:, last:], closed=basis).rank < n:
+    def walk(prefix: tuple, basis: np.ndarray) -> None:
+        nonlocal limit
+        size = len(prefix) + 1
+        for j in range((prefix[-1] if prefix else 0) + 1, n + 1):
+            if size > limit or limit < n_comps:
                 return
-        for j in range(last + 1, n - free + 2):
             if lower_twin[j] and lower_twin[j] not in prefix:
                 counts["twins"] += 1
                 continue
             child = prefix + (j,)
-            if n_comps - len({comp_ids[i - 1] for i in child}) > free - 1:
+            if n_comps - len({comp_ids[i - 1] for i in child}) > limit - size:
                 continue
             counts["closures"] += 1
             res = closure_basis(tensor, eye[:, j - 1 : j], closed=basis)
             if res.rank == basis.shape[1]:
                 continue
-            if free > 1:
-                yield from full_sets(m, child, res.basis)
-            elif res.rank == n:
-                yield child
+            if res.rank == n:
+                if found and size < len(found[0]):
+                    found.clear()
+                found.append(child)
+                limit = size if all_witnesses else size - 1
+                continue
+            if size == limit:
+                continue
+            counts["closures"] += 1
+            if closure_basis(tensor, eye[:, j:], closed=res.basis).rank < n:
+                counts["bound"] += n - j
+                return
+            walk(child, res.basis)
 
-    value, found = None, []
-    for m in range(max(1, n_comps), n + 1):
-        for subset in full_sets(m, (), np.zeros((n, 0))):
-            found.append(subset)
-            if not all_witnesses:
-                break
-        if found:
-            value = m
-            break
+    walk((), np.zeros((n, 0)))
     return MCNResult(
-        value=value,
+        value=len(found[0]) if found else None,
         witness=found[0] if found else (),
         method="exact",
         all_witnesses=(

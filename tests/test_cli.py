@@ -11,6 +11,7 @@ import json
 import pytest
 
 from hyperctrl import cli, hypergraph as hg
+from hyperctrl.ingest import build_hypergraph, load_time_series_csv
 from hyperctrl.mcn import mcn_exact
 
 from helpers import modular_closure_rank
@@ -171,8 +172,19 @@ class TestReport:
         assert reports[0]["result"]["rank"] == 5
 
     @pytest.mark.parametrize(
+        "argv", [["mcn", "--method", "exact"], ["check", "--controls", "1,2"]]
+    )
+    def test_timings_split_load_from_compute(self, tmp_path, capsys, argv):
+        path = write_graph(tmp_path, CHAIN5)
+        code, out, _ = run([argv[0], path, *argv[1:], "--report"], capsys)
+        assert code == 0
+        timings = json.loads(out)["timings"]
+        assert sorted(timings) == ["compute_s", "load_s"]
+        assert all(seconds >= 0 for seconds in timings.values())
+
+    @pytest.mark.parametrize(
         "method, skipped",
-        [("greedy", {"early_stop": 1, "twins": 9}), ("exact", {"twins": 23})],
+        [("greedy", {"early_stop": 1, "twins": 9}), ("exact", {"twins": 11, "bound": 3})],
     )
     def test_search_counts_per_component(self, tmp_path, capsys, method, skipped):
         # star(6,3) beside a lone pair edge: two components
@@ -192,6 +204,37 @@ class TestReport:
 
 
 STAR63 = {"n": 6, "edges": [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6]]}
+
+
+def dumped(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonOutput:
+    """A command's JSON stdout is the key-sorted text indented by two, with
+    one closing newline, byte for byte."""
+
+    def test_generate(self, capsys):
+        code, out, _ = run(["generate", "--family", "star", "--n", "6", "--k", "3"], capsys)
+        assert code == 0
+        assert out == dumped(hg.to_json_dict(hg.hyperstar(6, 3)))
+
+    def test_mcn(self, tmp_path, capsys):
+        path = write_graph(tmp_path, CHAIN5)
+        code, out, _ = run(["mcn", path, "--method", "exact"], capsys)
+        assert code == 0
+        graph = hg.from_json_dict(CHAIN5)
+        solved = cli._solve_by_component(graph, mcn_exact)
+        assert out == dumped({"method": "exact", **solved, "n": 5})
+
+    def test_ingest(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        csv.write_text("1,2,3,4,5\n2,4,6,8,11\n5,3,4,1,2\n")
+        code, out, _ = run(["ingest", str(csv), "--order", "2", "--threshold", "0.5"], capsys)
+        assert code == 0
+        graph = build_hypergraph(load_time_series_csv(str(csv)), 2, 0.5)
+        assert graph.edges
+        assert out == dumped(hg.to_json_dict(graph))
 
 
 class TestTolerance:

@@ -73,12 +73,13 @@ class TestExact:
 
         monkeypatch.setattr(mcn_mod, "closure_basis", counting_closure)
         res = hc.mcn_exact(auto(hc.complete(4, 4)), all_witnesses=True)
-        # one depth-first walk per size; a prefix costs its warm closure plus
-        # its completion bound. All four nodes are twins, so a child must
-        # hold its lower twins and each size walks one chain of prefixes:
-        # size 1 closes (1); size 2 (1) with its bound and (1, 2); size 3
-        # (1) and (1, 2) with their bounds and (1, 2, 3)
-        assert len(calls) == res.closures == 1 + 3 + 5
+        # one depth-first walk over all sizes; a prefix costs its warm
+        # closure plus its completion bound. All four nodes are twins, so a
+        # child must hold its lower twins and the walk is one chain: (1) with
+        # its bound, (1, 2) with its bound, then (1, 2, 3), which is full and
+        # sets the size bound to 3; every other child lacks a lower twin
+        assert len(calls) == res.closures == 2 + 2 + 1
+        assert res.skipped == {"twins": 6, "bound": 0}
         assert res.all_witnesses is not None
         # every 3-subset of a single 4-edge works: the twin orbit of (1, 2, 3)
         assert res.all_witnesses == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
@@ -87,7 +88,8 @@ class TestExact:
 
 
 def reference_grid():
-    """Family, random, weighted mixed-cardinality and disconnected graphs."""
+    """Family, random, weighted mixed-cardinality, disconnected and overlap
+    variant graphs."""
     for n in range(5, 10):
         for k in (3, 4):
             yield f"chain-{n}-{k}", hc.hyperchain(n, k)
@@ -105,6 +107,14 @@ def reference_grid():
         weights = tuple(seeded_floats(seed, len(g.edges), lo=0.5, hi=4.0))
         yield f"mixed-{seed}", hc.Hypergraph(g.n, g.edges, weights=weights)
     yield "disconnected", hc.Hypergraph(9, ((1, 2, 3), (2, 3, 4), (5, 6, 7)))
+    for n in (10, 11):
+        for k, r in ((3, 1), (4, 1), (4, 2)):
+            for family in ("chain", "ring", "star"):
+                try:
+                    graph = hc.overlap_variant(n, k, r, family)
+                except ValueError:
+                    continue  # the variant does not tile n
+                yield f"r-{family}-{n}-{k}-{r}", graph
 
 
 REFERENCE_GRID = dict(reference_grid())
@@ -119,6 +129,20 @@ class TestExactMatchesReference:
         A = auto(REFERENCE_GRID[name])
         assert hc.mcn_exact(A, all_witnesses=True) == exact_mcn_reference(A, all_witnesses=True)
         assert hc.mcn_exact(A) == exact_mcn_reference(A)
+
+    @pytest.mark.parametrize(
+        "graph, witness, closures, skipped",
+        [
+            (hc.overlap_variant(12, 3, 1, "ring"), (1, 2, 4, 6, 8, 10), 704, {"twins": 0, "bound": 130}),
+            (hc.hyperstar(12, 3), (1, *range(3, 12)), 40, {"twins": 89, "bound": 9}),
+        ],
+        ids=["r-ring-12-3-1", "star-12-3"],
+    )
+    def test_closure_counts(self, graph, witness, closures, skipped):
+        # one walk per subset size ran 1500 and 198 closures on these inputs
+        got = hc.mcn_exact(auto(graph))
+        assert (got.value, got.witness) == (len(witness), witness)
+        assert (got.closures, got.skipped) == (closures, skipped)
 
     def test_noise_column_is_no_witness(self):
         # closure({1, 6, 7}) has exact rank 7 of 8; a rounding-noise column
