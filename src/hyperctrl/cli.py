@@ -31,7 +31,12 @@ def _emit_json(payload: dict):
 
 def _digest(graph: hg.Hypergraph) -> str:
     doc = hg.to_json_dict(graph)
-    doc["edges"] = sorted(doc["edges"])
+    if "weights" in doc:
+        # a weight stays with its edge
+        pairs = sorted(zip(doc["edges"], doc["weights"]))
+        doc["edges"], doc["weights"] = [e for e, _ in pairs], [w for _, w in pairs]
+    else:
+        doc["edges"] = sorted(doc["edges"])
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -98,12 +103,11 @@ def _solve_by_component(graph: hg.Hypergraph, solve, counts: bool = False) -> di
 
     Every component is the whole tensor restricted to its nodes, so it keeps
     the graph's order k. Witnesses and rank traces are mapped back to the
-    graph's labels; the total is None when some component has no
-    controlling set. With ``counts`` each component also records its
-    search: the closures run and what each prune skipped.
+    graph's labels. With ``counts`` each component also records its search:
+    the closures run and what each prune skipped.
     """
     per_component = []
-    total: int | None = 0
+    total = 0
     witness: list[int] = []
     for comp in connected_components(hg.adjacency_auto(graph)):
         result = solve(comp.tensor)
@@ -120,10 +124,7 @@ def _solve_by_component(graph: hg.Hypergraph, solve, counts: bool = False) -> di
         if counts:
             entry["search"] = {"closures": result.closures, "skipped": result.skipped}
         per_component.append(entry)
-        if result.value is None:
-            total = None
-        elif total is not None:
-            total += result.value
+        total += result.value
         witness.extend(mapped_witness)
     return {"value": total, "witness": sorted(witness), "components": per_component}
 
@@ -135,12 +136,15 @@ def cmd_mcn(args) -> int:
     if args.method == "exact":
         solve = partial(mcn_exact, guard=args.guard)
     else:
-        solve = partial(mcn_greedy, tie_break=args.tie_break, seed=args.seed)
+        # only the random tie-break reads the seed
+        seeded = {"seed": args.seed} if args.tie_break == "random" else {}
+        solve = partial(mcn_greedy, tie_break=args.tie_break, **seeded)
     solved = _solve_by_component(graph, solve, counts=args.report)
     timings = {"load_s": loaded - started, "compute_s": time.perf_counter() - loaded}
     payload = {"method": args.method, **solved, "n": graph.n}
     if args.report:
-        payload = _report("mcn", args, graph, payload, timings)
+        parameters = {"method": args.method, **solve.keywords}
+        payload = _report("mcn", parameters, graph, payload, timings)
     _emit_json(payload)
     return 0
 
@@ -162,7 +166,7 @@ def cmd_check(args) -> int:
         "controls": list(controls.nodes),
     }
     if args.report:
-        payload = _report("check", args, graph, payload, timings)
+        payload = _report("check", {"controls": args.controls}, graph, payload, timings)
     _emit_json(payload)
     return 0
 
@@ -234,12 +238,11 @@ def run_benchmark(family, k, n_values, seeds, density=0.5, guard=20):
     return rows
 
 
-def _report(command, args, graph, result, timings) -> dict:
-    keys = ("method", "tie_break", "seed", "guard", "controls")
+def _report(command, parameters, graph, result, timings) -> dict:
     return {
         "command": command,
         "digest": _digest(graph),
-        "parameters": {key: getattr(args, key) for key in keys if hasattr(args, key)},
+        "parameters": parameters,
         "result": result,
         "timings": timings,
     }

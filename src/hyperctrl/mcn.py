@@ -4,7 +4,6 @@ into its connected components.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,21 +22,19 @@ class ExactSearchGuardError(ValueError):
 class MCNResult:
     """Outcome of a minimum-control-node computation.
 
-    ``value`` is the control-node count (None marks the uncontrollable
-    case), ``witness`` one achieving node set. Greedy results carry a
-    ``rank_trace`` of (node added, rank after) pairs; the exact search can
-    optionally enumerate every minimum witness. ``closures`` counts the
-    closures the search ran and ``skipped`` what its prunes saved, by prune
-    (greedy: ``early_stop`` and ``twins`` count candidates; exact: ``twins``
-    counts children, ``bound`` the later siblings a failed completion bound
-    cuts off); neither takes part in equality, which compares answers.
+    ``value`` is the control-node count, ``witness`` one achieving node
+    set. Greedy results carry a ``rank_trace`` of (node added, rank after)
+    pairs. ``closures`` counts the closures the search ran and ``skipped``
+    what its prunes saved, by prune (greedy: ``early_stop`` and ``twins``
+    count candidates; exact: ``twins`` counts children, ``bound`` the later
+    siblings a failed completion bound cuts off); neither takes part in
+    equality, which compares answers.
     """
 
-    value: int | None
+    value: int
     witness: tuple
     method: str
     rank_trace: tuple | None = None
-    all_witnesses: tuple | None = None
     closures: int = field(default=0, compare=False)
     skipped: dict = field(default_factory=dict, compare=False)
 
@@ -125,16 +122,6 @@ def _twin_classes(tensor: AdjacencyTensor) -> list[tuple]:
     return [tuple(members) for members in classes]
 
 
-def _twin_orbit(subset: tuple, classes: list[tuple]) -> list[tuple]:
-    """Every node set that takes as many members of each twin class as
-    ``subset`` does: the orbit of ``subset`` under swaps of twins."""
-    picks = [
-        itertools.combinations(members, sum(j in subset for j in members))
-        for members in classes
-    ]
-    return [tuple(sorted(itertools.chain(*choice))) for choice in itertools.product(*picks)]
-
-
 def connected_components(tensor: AdjacencyTensor) -> list[Component]:
     """Split a graph's one tensor by pattern reachability; a node in no
     pattern is a singleton. Each piece is the tensor restricted to one
@@ -155,9 +142,7 @@ def connected_components(tensor: AdjacencyTensor) -> list[Component]:
     ]
 
 
-def mcn_exact(
-    tensor: AdjacencyTensor, guard: int = 20, all_witnesses: bool = False
-) -> MCNResult:
+def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
     """Smallest control set by exhaustive search.
 
     One depth-first walk visits sorted node sets as prefixes, in
@@ -193,15 +178,12 @@ def mcn_exact(
     orbit), each of its nodes raises the rank (or W less that node would be
     full), it covers every component, and each of its prefixes' bounds holds
     closure(W). So the witness is the one the plain enumeration by size
-    finds. With ``all_witnesses`` the bound is the size of the smallest full
-    set found, not one less, and the walk keeps every full set of that size.
-    The same argument keeps every minimum set that takes the lowest members
-    of each twin class, and each stands for its twin orbit, whose members
-    are all full; the orbits, expanded, are every minimum full set, returned
-    in lexicographic order.
+    finds.
 
     Raises:
         ExactSearchGuardError: n exceeds ``guard``; use the greedy search.
+        ValueError: the walk ends without a full set; a guard, since in
+            exact arithmetic the whole node set is full.
     """
     n = tensor.dim
     if n > guard:
@@ -211,22 +193,21 @@ def mcn_exact(
         )
     comp_ids = _component_ids(tensor)
     n_comps = max(comp_ids) + 1
-    classes = _twin_classes(tensor)
     # the next lower member of each node's twin class, 0 for none
     lower_twin = [0] * (n + 1)
-    for members in classes:
+    for members in _twin_classes(tensor):
         for lo, hi in zip(members, members[1:]):
             lower_twin[hi] = lo
     eye = np.eye(n)
     counts = {"closures": 0, "twins": 0, "bound": 0}
-    found: list[tuple] = []
+    best: tuple = ()
     # the largest set size still worth a look: one less than the smallest
-    # full set found, or equal to it when every witness is wanted; a bound
-    # under the component count leaves nothing to look at
+    # full set found; a bound under the component count leaves nothing to
+    # look at
     limit = n
 
     def walk(prefix: tuple, basis: np.ndarray) -> None:
-        nonlocal limit
+        nonlocal best, limit
         size = len(prefix) + 1
         for j in range((prefix[-1] if prefix else 0) + 1, n + 1):
             if size > limit or limit < n_comps:
@@ -242,10 +223,7 @@ def mcn_exact(
             if res.rank == basis.shape[1]:
                 continue
             if res.rank == n:
-                if found and size < len(found[0]):
-                    found.clear()
-                found.append(child)
-                limit = size if all_witnesses else size - 1
+                best, limit = child, size - 1
                 continue
             if size == limit:
                 continue
@@ -256,15 +234,12 @@ def mcn_exact(
             walk(child, res.basis)
 
     walk((), np.zeros((n, 0)))
+    if not best:
+        raise ValueError(f"no set of the {n} nodes reaches full rank")
     return MCNResult(
-        value=len(found[0]) if found else None,
-        witness=found[0] if found else (),
+        value=len(best),
+        witness=best,
         method="exact",
-        all_witnesses=(
-            tuple(sorted(w for s in found for w in _twin_orbit(s, classes)))
-            if all_witnesses and found
-            else None
-        ),
         closures=counts.pop("closures"),
         skipped=counts,
     )

@@ -186,34 +186,23 @@ def max_eigen_multiplicity(tensor: AdjacencyTensor) -> int:
     return max(power for _, power in factors)
 
 
-def exact_mcn_reference(tensor: AdjacencyTensor, all_witnesses: bool = False) -> MCNResult:
+def exact_mcn_reference(tensor: AdjacencyTensor) -> MCNResult:
     """Exhaustive search that closes every subset cold, in plain order.
 
     Sizes in increasing order and, within a size, subsets in lexicographic
     order; a subset that leaves a connected component uncovered is skipped.
-    The first full-rank subset wins, or with ``all_witnesses`` every one of
-    the minimum size.
+    The first full-rank subset wins.
     """
     n = tensor.dim
     comp_ids = _component_ids(tensor)
     all_ids = frozenset(comp_ids)
     for m in range(1, n + 1):
-        found = []
         for subset in itertools.combinations(range(1, n + 1), m):
             if {comp_ids[j - 1] for j in subset} != all_ids:
                 continue
             if closure_basis(tensor, ControlMatrix(subset).matrix(n)).rank == n:
-                found.append(subset)
-                if not all_witnesses:
-                    break
-        if found:
-            return MCNResult(
-                value=m,
-                witness=found[0],
-                method="exact",
-                all_witnesses=tuple(found) if all_witnesses else None,
-            )
-    return MCNResult(value=None, witness=(), method="exact")
+                return MCNResult(value=m, witness=subset, method="exact")
+    raise ValueError(f"no set of the {n} nodes reaches full rank")
 
 
 def greedy_reference(

@@ -202,6 +202,43 @@ class TestReport:
         assert code == 0
         assert all("search" not in c for c in json.loads(out)["components"])
 
+    @pytest.mark.parametrize(
+        "argv, parameters",
+        [
+            (["--method", "exact", "--seed", "3"], {"method": "exact", "guard": 20}),
+            (["--seed", "3", "--guard", "9"], {"method": "greedy", "tie_break": "degree"}),
+            (
+                ["--tie-break", "random", "--seed", "3"],
+                {"method": "greedy", "tie_break": "random", "seed": 3},
+            ),
+        ],
+    )
+    def test_mcn_records_only_the_parameters_it_reads(self, tmp_path, capsys, argv, parameters):
+        path = write_graph(tmp_path, CHAIN5)
+        code, out, _ = run(["mcn", path, *argv, "--report"], capsys)
+        assert code == 0
+        assert json.loads(out)["parameters"] == parameters
+
+    def digest(self, tmp_path, capsys, doc):
+        code, out, _ = run(["check", write_graph(tmp_path, doc), "--report"], capsys)
+        assert code == 0
+        return json.loads(out)["digest"]
+
+    def test_digest_keeps_each_weight_with_its_edge(self, tmp_path, capsys):
+        edges, weights = [[1, 2, 3], [3, 4, 5]], [1.0, 2.0]
+        same, reordered, swapped = (
+            self.digest(tmp_path, capsys, {"n": 5, "edges": e, "weights": w})
+            for e, w in ((edges, weights), (edges[::-1], weights[::-1]), (edges, weights[::-1]))
+        )
+        # the same graph in another edge order, then another graph
+        assert same == reordered != swapped
+
+    def test_unweighted_digest_ignores_edge_order(self, tmp_path, capsys):
+        reordered = {"n": 5, "edges": CHAIN5["edges"][::-1]}
+        digest = "188695f429da52297a4d87aa6e760a23b2f6aa922a0f9f636372d1562e34bdf4"
+        assert self.digest(tmp_path, capsys, CHAIN5) == digest
+        assert self.digest(tmp_path, capsys, reordered) == digest
+
 
 STAR63 = {"n": 6, "edges": [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6]]}
 

@@ -63,7 +63,7 @@ class TestExact:
             res = hc.mcn_exact(auto(g))
             assert hc.verdict(auto(g), hc.ControlMatrix(res.witness)).full
 
-    def test_all_witnesses_enumeration(self, monkeypatch):
+    def test_complete_walk_is_one_twin_chain(self, monkeypatch):
         calls = []
         closure = mcn_mod.closure_basis
 
@@ -72,19 +72,17 @@ class TestExact:
             return closure(*args, **kwargs)
 
         monkeypatch.setattr(mcn_mod, "closure_basis", counting_closure)
-        res = hc.mcn_exact(auto(hc.complete(4, 4)), all_witnesses=True)
+        res = hc.mcn_exact(auto(hc.complete(4, 4)))
         # one depth-first walk over all sizes; a prefix costs its warm
         # closure plus its completion bound. All four nodes are twins, so a
         # child must hold its lower twins and the walk is one chain: (1) with
         # its bound, (1, 2) with its bound, then (1, 2, 3), which is full and
-        # sets the size bound to 3; every other child lacks a lower twin
+        # sets the size bound to 2, so (1, 2) looks at no later child; the
+        # five other children the walk looks at lack a lower twin
         assert len(calls) == res.closures == 2 + 2 + 1
-        assert res.skipped == {"twins": 6, "bound": 0}
-        assert res.all_witnesses is not None
-        # every 3-subset of a single 4-edge works: the twin orbit of (1, 2, 3)
-        assert res.all_witnesses == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
-        for w in res.all_witnesses:
-            assert hc.verdict(auto(hc.complete(4, 4)), hc.ControlMatrix(w)).full
+        assert res.skipped == {"twins": 5, "bound": 0}
+        assert (res.value, res.witness) == (3, (1, 2, 3))
+        assert hc.verdict(auto(hc.complete(4, 4)), hc.ControlMatrix(res.witness)).full
 
 
 def reference_grid():
@@ -127,7 +125,8 @@ class TestExactMatchesReference:
     @pytest.mark.parametrize("name", list(REFERENCE_GRID))
     def test_value_witness_and_all_witnesses(self, name):
         A = auto(REFERENCE_GRID[name])
-        assert hc.mcn_exact(A, all_witnesses=True) == exact_mcn_reference(A, all_witnesses=True)
+        # the name predates the removal of the all-witness mode and is kept
+        # so that the test ids stay the same
         assert hc.mcn_exact(A) == exact_mcn_reference(A)
 
     @pytest.mark.parametrize(
@@ -149,10 +148,9 @@ class TestExactMatchesReference:
         # scaled to unit norm once made it full and listed it as a witness
         A = auto(hc.random_uniform(8, 3, 0.1, 9))
         assert exact_closure_rank(A, (1, 6, 7)) == 7
-        res = hc.mcn_exact(A, all_witnesses=True)
+        res = hc.mcn_exact(A)
         assert res.value == 3
-        assert (1, 6, 7) not in res.all_witnesses
-        assert all(exact_closure_rank(A, w) == 8 for w in res.all_witnesses)
+        assert exact_closure_rank(A, res.witness) == 8
 
 
 def swap_twins(tensor):
