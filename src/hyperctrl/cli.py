@@ -136,9 +136,8 @@ def cmd_mcn(args) -> int:
     if args.method == "exact":
         solve = partial(mcn_exact, guard=args.guard)
     else:
-        # only the random tie-break reads the seed
-        seeded = {"seed": args.seed} if args.tie_break == "random" else {}
-        solve = partial(mcn_greedy, tie_break=args.tie_break, **seeded)
+        # greedy reads no parameter
+        solve = partial(mcn_greedy)
     solved = _solve_by_component(graph, solve, counts=args.report)
     timings = {"load_s": loaded - started, "compute_s": time.perf_counter() - loaded}
     payload = {"method": args.method, **solved, "n": graph.n}
@@ -154,10 +153,8 @@ def cmd_check(args) -> int:
     graph = _load_graph(args.hypergraph)
     loaded = time.perf_counter()
     controls = ControlMatrix(nodes=_parse_nodes(args.controls, "--controls"))
-    tensor = hg.adjacency_auto(graph)
-    computing = time.perf_counter()
-    result = verdict(tensor, controls)
-    timings = {"load_s": loaded - started, "compute_s": time.perf_counter() - computing}
+    result = verdict(hg.adjacency_auto(graph), controls)
+    timings = {"load_s": loaded - started, "compute_s": time.perf_counter() - loaded}
     payload = {
         "rank": result.rank,
         "full": result.full,
@@ -166,7 +163,8 @@ def cmd_check(args) -> int:
         "controls": list(controls.nodes),
     }
     if args.report:
-        payload = _report("check", {"controls": args.controls}, graph, payload, timings)
+        parameters = {"controls": list(controls.nodes)}
+        payload = _report("check", parameters, graph, payload, timings)
     _emit_json(payload)
     return 0
 
@@ -271,14 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     mcn_p = sub.add_parser("mcn", help="minimum control nodes of a hypergraph file")
     mcn_p.add_argument("hypergraph", help="hypergraph JSON file")
     mcn_p.add_argument("--method", choices=("exact", "greedy"), default="greedy")
-    mcn_p.add_argument("--tie-break", dest="tie_break",
-                       choices=("degree", "index", "random"), default="degree",
-                       help="how greedy breaks ties on the rank gain: highest degree "
-                       "then lowest index, lowest index, or a seeded pick; degree "
-                       "and index skip twins of a node already evaluated and end a "
-                       "step at the first full-rank candidate, random evaluates "
-                       "every candidate")
-    mcn_p.add_argument("--seed", type=int, help="seed for --tie-break random")
     mcn_p.add_argument("--guard", type=int, default=20,
                        help="node-count cap for the exact search")
     mcn_p.add_argument("--report", action="store_true",

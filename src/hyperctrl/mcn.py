@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .controllability import closure_basis
-from .hypergraph import _splitmix64, _tiles, degrees
+from .hypergraph import _tiles, degrees
 from .tensor import AdjacencyTensor, ControlMatrix
 
 
@@ -245,23 +245,18 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
     )
 
 
-def mcn_greedy(
-    tensor: AdjacencyTensor, tie_break: str = "degree", seed: int | None = None
-) -> MCNResult:
+def mcn_greedy(tensor: AdjacencyTensor) -> MCNResult:
     """Greedy control-node selection by maximum rank gain.
 
     Starting from the empty set, each step adds the node whose attachment
-    raises the controllability rank the most. The rank for a candidate is
+    raises the controllability rank the most; ties on the gain go to the
+    highest degree, then the lowest index. The rank for a candidate is
     computed by warm-starting the closure from the current closed basis and
     the candidate's unit column, which yields the same subspace as a cold
-    start; a candidate already in the span costs no round. Ties on the gain
-    are broken by highest degree then lowest index (``degree``), lowest index
-    alone (``index``), or a seeded uniform pick (``random``, requires
-    ``seed``).
+    start; a candidate already in the span costs no round.
 
-    With ``degree`` and ``index``, a step evaluates the candidates in
-    tie-break order and takes the first one of the largest gain, so two
-    prunes keep every pick:
+    A step evaluates the candidates in tie-break order and keeps the first
+    one of the largest gain, so two prunes keep every pick:
 
     - of each twin class (see ``_twin_classes``), only the unchosen member
       that comes first in tie-break order is evaluated: swapping it with a
@@ -270,28 +265,16 @@ def mcn_greedy(
     - the step ends at the first candidate whose closure reaches rank n: no
       later candidate has a larger gain, and an equal one loses the tie.
 
-    ``random`` evaluates every candidate, since its pick depends on how many
-    tie.
-
     Raises:
-        ValueError: ``tie_break`` is unknown, ``random`` lacks a seed, or no
-            candidate raises the rank; that last is a guard, since in exact
+        ValueError: no candidate raises the rank; a guard, since in exact
             arithmetic any node outside the span raises it.
     """
-    if tie_break not in ("degree", "index", "random"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    if tie_break == "random" and seed is None:
-        raise ValueError("tie_break='random' requires an explicit seed")
     n = tensor.dim
-    order = list(range(1, n + 1))
-    if tie_break == "degree":
-        node_degrees = degrees(tensor)
-        order.sort(key=lambda j: (-node_degrees[j - 1], j))
-    prune = tie_break != "random"
+    node_degrees = degrees(tensor)
+    order = sorted(range(1, n + 1), key=lambda j: (-node_degrees[j - 1], j))
     class_of = {}
-    if prune:
-        for cid, members in enumerate(_twin_classes(tensor)):
-            class_of.update(dict.fromkeys(members, cid))
+    for cid, members in enumerate(_twin_classes(tensor)):
+        class_of.update(dict.fromkeys(members, cid))
     basis = np.zeros((n, 0))
     rank = 0
     chosen: list[int] = []
@@ -299,27 +282,23 @@ def mcn_greedy(
     counts = {"closures": 0, "early_stop": 0, "twins": 0}
     while rank < n:
         remaining = [j for j in order if j not in chosen]
-        evaluated: list[tuple] = []
+        node, best = 0, None
         seen: set = set()
         for pos, j in enumerate(remaining):
-            if prune:
-                if class_of[j] in seen:
-                    counts["twins"] += 1
-                    continue
-                seen.add(class_of[j])
+            if class_of[j] in seen:
+                counts["twins"] += 1
+                continue
+            seen.add(class_of[j])
             res = closure_basis(tensor, ControlMatrix((j,)).matrix(n), closed=basis)
             counts["closures"] += 1
-            evaluated.append((j, res))
-            if prune and res.rank == n:
+            if best is None or res.rank > best.rank:
+                node, best = j, res
+            if res.rank == n:
                 counts["early_stop"] += len(remaining) - pos - 1
                 break
-        best_rank = max(res.rank for _, res in evaluated)
-        if best_rank <= rank:
+        if best is None or best.rank <= rank:
             raise ValueError(f"no candidate raises the rank above {rank} of {n}")
-        tied = [pos for pos, (_, res) in enumerate(evaluated) if res.rank == best_rank]
-        pick = tied[0] if prune else tied[_splitmix64(seed, len(chosen)) % len(tied)]
-        node, res = evaluated[pick]
-        basis, rank = res.basis, res.rank
+        basis, rank = best.basis, best.rank
         chosen.append(node)
         trace.append((node, rank))
     return MCNResult(

@@ -205,15 +205,12 @@ def exact_mcn_reference(tensor: AdjacencyTensor) -> MCNResult:
     raise ValueError(f"no set of the {n} nodes reaches full rank")
 
 
-def greedy_reference(
-    tensor: AdjacencyTensor, tie_break: str = "degree", seed: int | None = None
-) -> MCNResult:
+def greedy_reference(tensor: AdjacencyTensor) -> MCNResult:
     """Greedy search that evaluates every remaining candidate at every step.
 
     Candidates are closed warm from the chosen set's basis, as the pruned
     search does, so both see the same closures; ties on the gain go to the
-    highest degree then lowest index, the lowest index, or a splitmix64 pick
-    among the tied in index order.
+    highest degree, then the lowest index.
     """
     n = tensor.dim
     node_degrees = degrees(tensor)
@@ -230,12 +227,7 @@ def greedy_reference(
         if best <= basis.shape[1]:
             raise ValueError("no candidate raises the rank")
         tied = [pos for pos, res in enumerate(results) if res.rank == best]
-        if tie_break == "random":
-            pick = tied[_splitmix64(seed, len(chosen)) % len(tied)]
-        elif tie_break == "degree":
-            pick = max(tied, key=lambda pos: (node_degrees[remaining[pos] - 1], -remaining[pos]))
-        else:
-            pick = tied[0]
+        pick = max(tied, key=lambda pos: (node_degrees[remaining[pos] - 1], -remaining[pos]))
         basis = results[pick].basis
         chosen.append(remaining[pick])
         trace.append((remaining[pick], basis.shape[1]))

@@ -7,6 +7,7 @@ runs ``cli.main`` in-process.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -157,30 +158,40 @@ class TestReport:
     def test_rank_tolerance_variable_is_ignored(self, tmp_path, capsys, monkeypatch):
         # the rank cutoff is fixed, so no environment variable reaches it
         path = write_graph(tmp_path, CHAIN5)
-        argv = ["check", path, "--controls", "1,2", "--report"]
         reports = []
         for value in (None, "nan"):
             if value is not None:
                 monkeypatch.setenv("HYPERCTRL_TOL", value)
-            code, out, err = run(argv, capsys)
-            assert code == 0 and err == ""
-            doc = json.loads(out)
-            del doc["timings"]
-            reports.append(doc)
-        assert reports[0] == reports[1]
-        assert reports[0]["parameters"] == {"controls": "1,2"}
+            # the report records the nodes used, however they were spelled
+            for controls in ("1,2", " 1, 2"):
+                code, out, err = run(["check", path, "--controls", controls, "--report"], capsys)
+                assert code == 0 and err == ""
+                doc = json.loads(out)
+                del doc["timings"]
+                reports.append(doc)
+        assert all(doc == reports[0] for doc in reports)
+        assert reports[0]["parameters"] == {"controls": [1, 2]}
         assert reports[0]["result"]["rank"] == 5
 
     @pytest.mark.parametrize(
         "argv", [["mcn", "--method", "exact"], ["check", "--controls", "1,2"]]
     )
-    def test_timings_split_load_from_compute(self, tmp_path, capsys, argv):
+    def test_timings_split_load_from_compute(self, tmp_path, capsys, monkeypatch, argv):
+        build = hg.adjacency_auto
+
+        def slow_build(graph):
+            time.sleep(0.05)
+            return build(graph)
+
+        # the tensor build counts as compute
+        monkeypatch.setattr(hg, "adjacency_auto", slow_build)
         path = write_graph(tmp_path, CHAIN5)
         code, out, _ = run([argv[0], path, *argv[1:], "--report"], capsys)
         assert code == 0
         timings = json.loads(out)["timings"]
         assert sorted(timings) == ["compute_s", "load_s"]
-        assert all(seconds >= 0 for seconds in timings.values())
+        assert timings["load_s"] >= 0
+        assert timings["compute_s"] >= 0.05
 
     @pytest.mark.parametrize(
         "method, skipped",
@@ -205,12 +216,9 @@ class TestReport:
     @pytest.mark.parametrize(
         "argv, parameters",
         [
-            (["--method", "exact", "--seed", "3"], {"method": "exact", "guard": 20}),
-            (["--seed", "3", "--guard", "9"], {"method": "greedy", "tie_break": "degree"}),
-            (
-                ["--tie-break", "random", "--seed", "3"],
-                {"method": "greedy", "tie_break": "random", "seed": 3},
-            ),
+            (["--method", "exact"], {"method": "exact", "guard": 20}),
+            (["--guard", "9"], {"method": "greedy"}),
+            (["--method", "exact", "--guard", "9"], {"method": "exact", "guard": 9}),
         ],
     )
     def test_mcn_records_only_the_parameters_it_reads(self, tmp_path, capsys, argv, parameters):
@@ -276,17 +284,19 @@ class TestJsonOutput:
 
 class TestTolerance:
     # the rank cutoff is fixed at n * 1e-10: no subcommand takes --tol, so
-    # argparse refuses it whatever the value
+    # argparse refuses it whatever the value; greedy has one tie rule, so
+    # mcn takes no --tie-break or --seed either
     @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1", "2", "1e300"])
     @pytest.mark.parametrize(
-        "argv",
+        "source, argv",
         [
-            ["check", "GRAPH", "--controls", "1"],
-            ["mcn", "GRAPH"],
-            ["bench", "--family", "complete", "--k", "2", "--n-range", "3:3"],
+            ("--tol", ["check", "GRAPH", "--controls", "1"]),
+            ("--tol", ["mcn", "GRAPH"]),
+            ("--tol", ["bench", "--family", "complete", "--k", "2", "--n-range", "3:3"]),
+            ("--tie-break", ["mcn", "GRAPH"]),
+            ("--seed", ["mcn", "GRAPH"]),
         ],
     )
-    @pytest.mark.parametrize("source", ["--tol"])
     def test_negative_or_non_finite_rejected(self, tmp_path, capsys, argv, value, source):
         path = write_graph(tmp_path, STAR63)
         argv = [path if tok == "GRAPH" else tok for tok in argv] + [source, value]

@@ -241,7 +241,7 @@ GREEDY_GRID = dict(greedy_grid())
 class TestGreedyMatchesReference:
     """Skipping twins and stopping a step at the first full candidate keeps
     the witness and the rank trace of the search that evaluates every
-    candidate, under each tie-break."""
+    candidate."""
 
     def test_grid_size(self):
         assert len(GREEDY_GRID) >= 250
@@ -251,10 +251,9 @@ class TestGreedyMatchesReference:
     @pytest.mark.parametrize("name", list(GREEDY_GRID))
     def test_witness_and_trace(self, name):
         A = auto(GREEDY_GRID[name])
-        for tie_break, seed in (("degree", None), ("index", None), ("random", 7)):
-            got = hc.mcn_greedy(A, tie_break=tie_break, seed=seed)
-            want = greedy_reference(A, tie_break=tie_break, seed=seed)
-            assert (got.witness, got.rank_trace) == (want.witness, want.rank_trace), tie_break
+        got = hc.mcn_greedy(A)
+        want = greedy_reference(A)
+        assert (got.witness, got.rank_trace) == (want.witness, want.rank_trace)
 
     @pytest.mark.parametrize(
         "graph, closures, twins",
@@ -275,12 +274,6 @@ class TestGreedyMatchesReference:
         assert got.closures + sum(got.skipped.values()) == evaluated
         want = greedy_reference(A)
         assert (got.witness, got.rank_trace) == (want.witness, want.rank_trace)
-
-    def test_random_evaluates_every_candidate(self):
-        A = auto(hc.hyperstar(12, 3))
-        got = hc.mcn_greedy(A, tie_break="random", seed=3)
-        assert got.skipped == {"early_stop": 0, "twins": 0}
-        assert got.closures == sum(12 - step for step in range(got.value))
 
 
 class TestGreedyTraceOverGFp:
@@ -371,16 +364,10 @@ class TestGreedy:
         assert a.witness == b.witness
 
     def test_tie_break_modes(self):
-        A = auto(hc.hyperchain(8, 4))
-        deg = hc.mcn_greedy(A, tie_break="degree")
-        idx = hc.mcn_greedy(A, tie_break="index")
-        rnd = hc.mcn_greedy(A, tie_break="random", seed=11)
-        assert deg.value == idx.value == rnd.value == 3
-        # index mode starts from node 1; degree mode prefers the interior
-        assert idx.witness[0] == 1
-        assert deg.witness[0] == 4
-        again = hc.mcn_greedy(A, tie_break="random", seed=11)
-        assert rnd.witness == again.witness
+        res = hc.mcn_greedy(auto(hc.hyperchain(8, 4)))
+        assert res.value == 3
+        # ties go to the highest degree: the interior, not node 1
+        assert res.witness[0] == 4
 
     @pytest.mark.parametrize("seed, witness", [(22, (4,)), (35, (1,)), (38, (3,))])
     def test_degree_ties_pick_lowest_index(self, seed, witness):
@@ -392,11 +379,6 @@ class TestGreedy:
         top = tuple(np.flatnonzero(d == d.max()) + 1)
         assert len(top) > 1
         assert hc.mcn_greedy(A).witness == witness == top[:1]
-
-    def test_random_mode_requires_seed(self):
-        A = auto(hc.hyperchain(6, 3))
-        with pytest.raises(ValueError, match="seed"):
-            hc.mcn_greedy(A, tie_break="random")
 
     def test_never_below_exact(self):
         for seed in range(20):
