@@ -43,11 +43,11 @@ def _digest(graph: hg.Hypergraph) -> str:
 
 def _load_graph(path: str) -> hg.Hypergraph:
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise _FileError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad bytes, syntax or nesting
         raise _FileError(f"{path}: invalid JSON: {exc}") from None
     try:
         return hg.from_json_dict(doc)
@@ -183,57 +183,27 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """Exact-versus-greedy CSV rows, both solved per component as ``mcn`` does."""
     n_lo, n_hi = args.n_range
     seeds = list(_parse_nodes(args.seeds, "--seeds")) or [0]
-    rows = run_benchmark(
-        family=args.family,
-        k=args.k,
-        n_values=range(n_lo, n_hi + 1),
-        seeds=seeds,
-        density=args.density,
-        guard=args.guard,
-    )
+    exact_solve = partial(mcn_exact, guard=args.guard)
     print("family,n,k,seed,exact_value,greedy_value,agree,exact_time_s,greedy_time_s")
-    for row in rows:
-        print(
-            f"{row['family']},{row['n']},{row['k']},{row['seed']},"
-            f"{row['exact_value']},{row['greedy_value']},{row['agree']},"
-            f"{row['exact_time_s']:.6f},{row['greedy_time_s']:.6f}"
-        )
-    return 0
-
-
-def run_benchmark(family, k, n_values, seeds, density=0.5, guard=20):
-    """Exact-versus-greedy comparison rows, both solved per connected
-    component as ``mcn`` does; importable for tests."""
-    rows = []
-    for n in n_values:
+    for n in range(n_lo, n_hi + 1):
         for seed in seeds:
-            if family == "random":
-                graph = hg.random_uniform(n, k, density, seed)
-            elif family == "complete":
-                graph = hg.complete(n, k)
+            if args.family == "random":
+                graph = hg.random_uniform(n, args.k, args.density, seed)
             else:
-                raise ValueError(f"bench family must be random or complete, got {family!r}")
+                graph = hg.complete(n, args.k)
             t0 = time.perf_counter()
-            exact = _solve_by_component(graph, partial(mcn_exact, guard=guard))["value"]
+            exact = _solve_by_component(graph, exact_solve)["value"]
             t1 = time.perf_counter()
             greedy = _solve_by_component(graph, mcn_greedy)["value"]
             t2 = time.perf_counter()
-            rows.append(
-                {
-                    "family": family,
-                    "n": n,
-                    "k": k,
-                    "seed": seed,
-                    "exact_value": exact,
-                    "greedy_value": greedy,
-                    "agree": exact == greedy,
-                    "exact_time_s": t1 - t0,
-                    "greedy_time_s": t2 - t1,
-                }
+            print(
+                f"{args.family},{n},{args.k},{seed},{exact},{greedy},{exact == greedy},"
+                f"{t1 - t0:.6f},{t2 - t1:.6f}"
             )
-    return rows
+    return 0
 
 
 def _report(command, parameters, graph, result, timings) -> dict:
@@ -253,11 +223,14 @@ def _report(command, parameters, graph, result, timings) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperctrl",
+        allow_abbrev=False,
         description="Hypergraph controllability analysis and control-node search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix of a flag is taken for it, so a removed flag cannot come back
+    add = partial(sub.add_parser, allow_abbrev=False)
 
-    gen = sub.add_parser("generate", help="emit a named hypergraph family as JSON")
+    gen = add("generate", help="emit a named hypergraph family as JSON")
     gen.add_argument("--family", required=True, choices=_FAMILIES)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--k", type=int, required=True)
@@ -266,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, help="seed (random family; required)")
     gen.set_defaults(func=cmd_generate)
 
-    mcn_p = sub.add_parser("mcn", help="minimum control nodes of a hypergraph file")
+    mcn_p = add("mcn", help="minimum control nodes of a hypergraph file")
     mcn_p.add_argument("hypergraph", help="hypergraph JSON file")
     mcn_p.add_argument("--method", choices=("exact", "greedy"), default="greedy")
     mcn_p.add_argument("--guard", type=int, default=20,
@@ -276,13 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
                        "timings; each component also records its search counts")
     mcn_p.set_defaults(func=cmd_mcn)
 
-    check = sub.add_parser("check", help="controllability verdict for a control set")
+    check = add("check", help="controllability verdict for a control set")
     check.add_argument("hypergraph", help="hypergraph JSON file")
     check.add_argument("--controls", default="", help="comma-separated node list")
     check.add_argument("--report", action="store_true")
     check.set_defaults(func=cmd_check)
 
-    ing = sub.add_parser("ingest", help="build a hypergraph from a time-series CSV")
+    ing = add("ingest", help="build a hypergraph from a time-series CSV")
     ing.add_argument("csv", help="channels-by-samples CSV file")
     ing.add_argument("--order", type=int, required=True, help="hyperedge cardinality k")
     ing.add_argument("--threshold", type=float, required=True)
@@ -290,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="first CSV row lists channel labels")
     ing.set_defaults(func=cmd_ingest)
 
-    bench = sub.add_parser("bench", help="exact-versus-greedy timing table (CSV)")
+    bench = add("bench", help="exact-versus-greedy timing table (CSV)")
     bench.add_argument("--family", choices=("random", "complete"), required=True)
     bench.add_argument("--k", type=int, required=True)
     bench.add_argument("--n-range", dest="n_range", type=_parse_range, required=True,

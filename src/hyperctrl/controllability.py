@@ -1,9 +1,9 @@
 """Reduced controllability matrix and rank verdicts.
 
-The controllability subspace is the closure of the control columns' span
-under the tensor map. It grows in frontier (semi-naive) rounds: a round
-applies the tensor only to the multisets of basis columns that hold a column
-added in the round before. Each result is divided by the tensor's cached
+The controllability subspace is the closure of the control nodes' unit
+columns e_j under the tensor map. It grows in frontier (semi-naive) rounds:
+a round applies the tensor only to the multisets of basis columns that hold
+a column added in the round before. Each result is divided by the tensor's cached
 scale (see ``_Kernel``), and one whose norm is then at or under the rounding
 floor n * 4 * eps is dropped as rounding noise. Every other result is scaled
 to unit norm and projected out of the basis twice, and an SVD of that
@@ -38,18 +38,17 @@ class ReducedControllabilityMatrix:
     """Orthonormal basis of the controllability subspace.
 
     ``rank`` equals the column count of ``basis``; ``iterations`` counts the
-    frontier rounds executed; ``tolerance`` records the cutoff on the
-    singular values of unit-scaled residuals, always n * 1e-10.
-    Before that cutoff applies, every contracted column is divided by a
-    scale that bounds the tensor applied to unit columns, and one at or
-    under the rounding floor n * 4 * eps is dropped; relative to the scale,
-    the floor does not depend on the weights, nor does the rank.
+    frontier rounds executed. A residual direction counts when its singular
+    value exceeds n * 1e-10. Before that cutoff applies, every contracted
+    column is divided by a scale that bounds the tensor applied to unit
+    columns, and one at or under the rounding floor n * 4 * eps is dropped;
+    relative to the scale, the floor does not depend on the weights, nor
+    does the rank.
     """
 
     basis: np.ndarray
     rank: int
     iterations: int
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -90,28 +89,27 @@ def _extend(
 
 
 def closure_basis(
-    tensor: AdjacencyTensor,
-    start: np.ndarray,
-    *,
-    closed: np.ndarray | None = None,
+    tensor: AdjacencyTensor, nodes, *, closed: np.ndarray | None = None
 ) -> ReducedControllabilityMatrix:
-    """Grow the span of ``start`` until it is closed under the tensor map.
+    """Grow the span of the unit columns e_j, j in ``nodes`` (1-based),
+    until it is closed under the tensor map.
 
-    Accepts an arbitrary n x m starting matrix; the result depends only on
-    its column space. ``closed`` is an orthonormal basis of a span that is
-    already closed; only the rounds that ``start`` adds to it are run. A
-    residual direction counts when its singular value exceeds n * 1e-10.
+    ``closed`` is an orthonormal basis of a span that is already closed;
+    only the rounds that the nodes add to it are run.
 
     Raises:
-        ValueError: a matrix lacks n rows.
+        ValueError: a node lies outside [1, n], or ``closed`` lacks n rows.
     """
     n = tensor.dim
     cutoff = n * 1e-10
+    nodes = tuple(nodes)
+    if not all(1 <= j <= n for j in nodes):
+        raise ValueError(f"control nodes {nodes} lie outside [1, {n}]")
     basis = np.zeros((n, 0)) if closed is None else np.asarray(closed, dtype=np.float64)
-    start = np.asarray(start, dtype=np.float64)
-    for name, mat in (("start", start), ("closed", basis)):
-        if mat.ndim != 2 or mat.shape[0] != n:
-            raise ValueError(f"{name} matrix has shape {mat.shape}, expected ({n}, m)")
+    if basis.ndim != 2 or basis.shape[0] != n:
+        raise ValueError(f"closed matrix has shape {basis.shape}, expected ({n}, m)")
+    start = np.zeros((n, len(nodes)))
+    start[[j - 1 for j in nodes], range(len(nodes))] = 1.0
     # columns below ``done`` had all their multisets applied; the rest are F
     basis, done = _extend(basis, start, cutoff), basis.shape[1]
     rounds = 0
@@ -135,10 +133,7 @@ def closure_basis(
                 break
         done = frozen.shape[1]
     return ReducedControllabilityMatrix(
-        basis=basis,
-        rank=basis.shape[1],
-        iterations=rounds,
-        tolerance=cutoff,
+        basis=basis, rank=basis.shape[1], iterations=rounds
     )
 
 
@@ -149,7 +144,7 @@ def verdict(tensor: AdjacencyTensor, controls: ControlMatrix) -> Controllability
     even (odd-degree drift). For odd orders the same rank condition only
     certifies accessibility, and the verdict says so; it is never upgraded.
     """
-    reduced = closure_basis(tensor, controls.matrix(tensor.dim))
+    reduced = closure_basis(tensor, controls.nodes)
     kind = VerdictKind.STRONG if tensor.order % 2 == 0 else VerdictKind.ACCESSIBILITY
     return ControllabilityVerdict(
         rank=reduced.rank, full=reduced.rank == tensor.dim, kind=kind

@@ -104,9 +104,14 @@ def load_time_series_csv(path, has_header: bool = False) -> TimeSeriesMatrix:
     Each data row is one channel. With ``has_header`` the first row lists
     the channel labels, one per subsequent row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     labels = None

@@ -11,7 +11,7 @@ import numpy as np
 
 from .controllability import closure_basis
 from .hypergraph import _tiles, degrees
-from .tensor import AdjacencyTensor, ControlMatrix
+from .tensor import AdjacencyTensor
 
 
 class ExactSearchGuardError(ValueError):
@@ -33,7 +33,6 @@ class MCNResult:
 
     value: int
     witness: tuple
-    method: str
     rank_trace: tuple | None = None
     closures: int = field(default=0, compare=False)
     skipped: dict = field(default_factory=dict, compare=False)
@@ -46,26 +45,6 @@ class Component(NamedTuple):
 
     nodes: tuple
     tensor: AdjacencyTensor
-
-
-def _component_ids(tensor: AdjacencyTensor) -> list[int]:
-    """Component id of each node (node j at index j-1), by union-find over
-    the stored patterns; ids count up in order of each component's lowest
-    node."""
-    parent = list(range(tensor.dim + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for pattern in tensor.entries:
-        root = find(pattern[0])
-        for other in pattern[1:]:
-            parent[find(other)] = root
-    ids: dict = {}
-    return [ids.setdefault(find(j), len(ids)) for j in range(1, tensor.dim + 1)]
 
 
 def _twin_classes(tensor: AdjacencyTensor) -> list[tuple]:
@@ -127,7 +106,21 @@ def connected_components(tensor: AdjacencyTensor) -> list[Component]:
     pattern is a singleton. Each piece is the tensor restricted to one
     component (see ``Component``), with the coefficients of its patterns as
     they are; pieces come in order of their lowest node."""
-    ids = _component_ids(tensor)
+    # union-find over the stored patterns; ids in order of the lowest node
+    parent = list(range(tensor.dim + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for pattern in tensor.entries:
+        root = find(pattern[0])
+        for other in pattern[1:]:
+            parent[find(other)] = root
+    roots: dict = {}
+    ids = [roots.setdefault(find(j), len(roots)) for j in range(1, tensor.dim + 1)]
     groups: list[list[int]] = [[] for _ in range(max(ids) + 1)]
     label = []
     for j, cid in enumerate(ids, start=1):
@@ -143,28 +136,28 @@ def connected_components(tensor: AdjacencyTensor) -> list[Component]:
 
 
 def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
-    """Smallest control set by exhaustive search.
+    """Smallest control set of one connected component, by exhaustive search.
+
+    The tensor is one piece from ``connected_components``, as ``mcn`` passes
+    it. On a disconnected tensor the answer is still a minimum, but no rule
+    prunes by component, so the search is slower than solving each piece.
 
     One depth-first walk visits sorted node sets as prefixes, in
     lexicographic order: a prefix P is extended by one node j > last(P) at a
     time, and the child's closure is warm-started from P's, so each prefix is
     closed once. Sizes are not fixed. The walk carries a size bound, one less
     than the smallest full-rank set found so far (n at the start), and looks
-    only at sets within it, so the bound shrinks as smaller sets turn up; the
-    walk ends once a full set has one node per connected component, the
-    floor. Restricted to one size, the walk's order is lexicographic order,
-    so the first full set of the minimum size that it meets is the first one
-    of that size in lexicographic order. A child P + j is skipped when
+    only at sets within it, so the bound shrinks as smaller sets turn up.
+    Restricted to one size, the walk's order is lexicographic order, so the
+    first full set of the minimum size that it meets is the first one of that
+    size in lexicographic order. A child P + j is skipped when
 
     - j has a lower twin (see ``_twin_classes``) that P lacks: swapping the
       two maps every set below the child onto a lexicographically smaller
       one of the same size and rank;
     - e_j already lies in closure(P) (the child's rank equals P's): every set
       below the child has the closure of the same set without j, one node
-      smaller, so none is a minimum;
-    - the connected components it leaves uncovered outnumber the nodes the
-      size bound still allows it: an uncovered component's coordinates never
-      enter the span.
+      smaller, so none is a minimum.
 
     A full child is a candidate, and nothing below it is smaller. Below any
     other child lie only subsets of P + {j..n}, whose closure is the child's
@@ -176,9 +169,8 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
     No rule drops a prefix of the lexicographically first minimum set W: W
     holds the lower twin of each of its members (it is the least of its twin
     orbit), each of its nodes raises the rank (or W less that node would be
-    full), it covers every component, and each of its prefixes' bounds holds
-    closure(W). So the witness is the one the plain enumeration by size
-    finds.
+    full), and each of its prefixes' bounds holds closure(W). So the witness
+    is the one the plain enumeration by size finds.
 
     Raises:
         ExactSearchGuardError: n exceeds ``guard``; use the greedy search.
@@ -191,35 +183,28 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
             f"exhaustive search over {n} nodes exceeds the guard of {guard}; "
             "raise the guard explicitly or use mcn_greedy"
         )
-    comp_ids = _component_ids(tensor)
-    n_comps = max(comp_ids) + 1
     # the next lower member of each node's twin class, 0 for none
     lower_twin = [0] * (n + 1)
     for members in _twin_classes(tensor):
         for lo, hi in zip(members, members[1:]):
             lower_twin[hi] = lo
-    eye = np.eye(n)
     counts = {"closures": 0, "twins": 0, "bound": 0}
     best: tuple = ()
-    # the largest set size still worth a look: one less than the smallest
-    # full set found; a bound under the component count leaves nothing to
-    # look at
+    # the largest set size still worth a look, one under the smallest full set
     limit = n
 
     def walk(prefix: tuple, basis: np.ndarray) -> None:
         nonlocal best, limit
         size = len(prefix) + 1
         for j in range((prefix[-1] if prefix else 0) + 1, n + 1):
-            if size > limit or limit < n_comps:
+            if size > limit:
                 return
             if lower_twin[j] and lower_twin[j] not in prefix:
                 counts["twins"] += 1
                 continue
             child = prefix + (j,)
-            if n_comps - len({comp_ids[i - 1] for i in child}) > limit - size:
-                continue
             counts["closures"] += 1
-            res = closure_basis(tensor, eye[:, j - 1 : j], closed=basis)
+            res = closure_basis(tensor, (j,), closed=basis)
             if res.rank == basis.shape[1]:
                 continue
             if res.rank == n:
@@ -228,7 +213,7 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
             if size == limit:
                 continue
             counts["closures"] += 1
-            if closure_basis(tensor, eye[:, j:], closed=res.basis).rank < n:
+            if closure_basis(tensor, range(j + 1, n + 1), closed=res.basis).rank < n:
                 counts["bound"] += n - j
                 return
             walk(child, res.basis)
@@ -239,7 +224,6 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
     return MCNResult(
         value=len(best),
         witness=best,
-        method="exact",
         closures=counts.pop("closures"),
         skipped=counts,
     )
@@ -289,7 +273,7 @@ def mcn_greedy(tensor: AdjacencyTensor) -> MCNResult:
                 counts["twins"] += 1
                 continue
             seen.add(class_of[j])
-            res = closure_basis(tensor, ControlMatrix((j,)).matrix(n), closed=basis)
+            res = closure_basis(tensor, (j,), closed=basis)
             counts["closures"] += 1
             if best is None or res.rank > best.rank:
                 node, best = j, res
@@ -304,7 +288,6 @@ def mcn_greedy(tensor: AdjacencyTensor) -> MCNResult:
     return MCNResult(
         value=len(chosen),
         witness=tuple(chosen),
-        method="greedy",
         rank_trace=tuple(trace),
         closures=counts.pop("closures"),
         skipped=counts,

@@ -155,7 +155,8 @@ class ControlMatrix:
     """Control attachment points: column j of B is the basis vector e_nodes[j].
 
     All input channels act with unit scale; the controllability rank is
-    invariant under nonzero column rescaling, so nothing is lost.
+    invariant under nonzero column rescaling, so nothing is lost. The nodes
+    are checked against the tensor's [1, n] where a closure starts from them.
     """
 
     nodes: tuple
@@ -164,14 +165,3 @@ class ControlMatrix:
         object.__setattr__(self, "nodes", tuple(int(j) for j in self.nodes))
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError(f"control nodes must be distinct, got {self.nodes}")
-        if any(j < 1 for j in self.nodes):
-            raise ValueError(f"control nodes must be >= 1, got {self.nodes}")
-
-    def matrix(self, n: int) -> np.ndarray:
-        """Dense n x m matrix of standard basis columns."""
-        if any(j > n for j in self.nodes):
-            raise ValueError(f"control nodes {self.nodes} exceed dimension {n}")
-        mat = np.zeros((n, len(self.nodes)))
-        for col, j in enumerate(self.nodes):
-            mat[j - 1, col] = 1.0
-        return mat

@@ -21,14 +21,13 @@ import sympy
 
 from hyperctrl import (
     AdjacencyTensor,
-    ControlMatrix,
     Hypergraph,
     MCNResult,
     closure_basis,
+    connected_components,
     degrees,
 )
 from hyperctrl.hypergraph import _splitmix64
-from hyperctrl.mcn import _component_ids
 from hyperctrl.tensor import _apply_multisets
 
 # Dense materialization allocates n^k entries; refuse anything above this.
@@ -194,14 +193,17 @@ def exact_mcn_reference(tensor: AdjacencyTensor) -> MCNResult:
     The first full-rank subset wins.
     """
     n = tensor.dim
-    comp_ids = _component_ids(tensor)
+    comp_ids = [0] * n
+    for cid, comp in enumerate(connected_components(tensor)):
+        for j in comp.nodes:
+            comp_ids[j - 1] = cid
     all_ids = frozenset(comp_ids)
     for m in range(1, n + 1):
         for subset in itertools.combinations(range(1, n + 1), m):
             if {comp_ids[j - 1] for j in subset} != all_ids:
                 continue
-            if closure_basis(tensor, ControlMatrix(subset).matrix(n)).rank == n:
-                return MCNResult(value=m, witness=subset, method="exact")
+            if closure_basis(tensor, subset).rank == n:
+                return MCNResult(value=m, witness=subset)
     raise ValueError(f"no set of the {n} nodes reaches full rank")
 
 
@@ -220,7 +222,7 @@ def greedy_reference(tensor: AdjacencyTensor) -> MCNResult:
     while basis.shape[1] < n:
         remaining = [j for j in range(1, n + 1) if j not in chosen]
         results = [
-            closure_basis(tensor, ControlMatrix((j,)).matrix(n), closed=basis)
+            closure_basis(tensor, (j,), closed=basis)
             for j in remaining
         ]
         best = max(res.rank for res in results)
@@ -231,9 +233,7 @@ def greedy_reference(tensor: AdjacencyTensor) -> MCNResult:
         basis = results[pick].basis
         chosen.append(remaining[pick])
         trace.append((remaining[pick], basis.shape[1]))
-    return MCNResult(
-        value=len(chosen), witness=tuple(chosen), method="greedy", rank_trace=tuple(trace)
-    )
+    return MCNResult(value=len(chosen), witness=tuple(chosen), rank_trace=tuple(trace))
 
 
 def modular_closure_rank(

@@ -123,6 +123,30 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: input too large for memory")
 
+    @pytest.mark.parametrize(
+        "name, data, argv, detail",
+        [
+            ("g.json", b"\xff", ["mcn", "FILE"], "invalid JSON: 'utf-8' codec"),
+            ("g.json", b"\xff", ["check", "FILE"], "invalid JSON: 'utf-8' codec"),
+            # nested past the recursion limit
+            ("g.json", b"[" * 100_000, ["mcn", "FILE"], "invalid JSON: "),
+            ("s.csv", b"1,2\n3," + b"4" * 131_073 + b"\n", ["ingest", "FILE"],
+             "line 2: field larger than field limit"),
+            ("s.csv", b"1,2\n3,\xe9\n", ["ingest", "FILE"], "not UTF-8 text"),
+        ],
+        ids=["mcn-byte-ff", "check-byte-ff", "deep-nesting", "long-csv-field",
+             "latin-1-csv"],
+    )
+    def test_unreadable_file_names_it(self, tmp_path, capsys, name, data, argv, detail):
+        path = tmp_path / name
+        path.write_bytes(data)
+        argv = [str(path) if tok == "FILE" else tok for tok in argv]
+        if argv[0] == "ingest":
+            argv += ["--order", "2", "--threshold", "0.5"]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: {detail}")
+
 
 class TestIngest:
     def test_parse_error_is_file_problem(self, tmp_path, capsys):
@@ -285,7 +309,7 @@ class TestJsonOutput:
 class TestTolerance:
     # the rank cutoff is fixed at n * 1e-10: no subcommand takes --tol, so
     # argparse refuses it whatever the value; greedy has one tie rule, so
-    # mcn takes no --tie-break or --seed either
+    # mcn takes no --tie-break or --seed either; no flag is taken by a prefix
     @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1", "2", "1e300"])
     @pytest.mark.parametrize(
         "source, argv",
@@ -295,6 +319,10 @@ class TestTolerance:
             ("--tol", ["bench", "--family", "complete", "--k", "2", "--n-range", "3:3"]),
             ("--tie-break", ["mcn", "GRAPH"]),
             ("--seed", ["mcn", "GRAPH"]),
+            # prefixes of --guard and --seeds are refused, not expanded
+            ("--gu", ["mcn", "GRAPH"]),
+            ("--seed",
+             ["bench", "--family", "complete", "--k", "2", "--n-range", "3:3"]),
         ],
     )
     def test_negative_or_non_finite_rejected(self, tmp_path, capsys, argv, value, source):

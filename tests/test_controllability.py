@@ -24,38 +24,33 @@ from helpers import (
 )
 
 
-def closure_of(A, nodes, **kw):
-    return closure_basis(A, hc.ControlMatrix(tuple(nodes)).matrix(A.dim), **kw)
-
-
 def rank_of(graph, nodes, **kw):
-    return closure_of(hc.adjacency_auto(graph), nodes, **kw).rank
+    return closure_basis(hc.adjacency_auto(graph), nodes, **kw).rank
 
 
 class TestReducedControllability:
     def test_single_edge_three_controls_full(self):
         A = hc.adjacency_auto(hc.complete(4, 4))
-        res = closure_of(A, (1, 2, 3))
+        res = closure_basis(A, (1, 2, 3))
         assert res.rank == 4
         assert res.iterations == 1
-        assert res.tolerance == 4 * 1e-10
 
     def test_single_edge_two_controls_stuck(self):
         # every expansion multiset repeats a unit column, so nothing is added
         A = hc.adjacency_auto(hc.complete(4, 4))
-        res = closure_of(A, (1, 2))
+        res = closure_basis(A, (1, 2))
         assert res.rank == 2
 
     def test_empty_control_set(self):
         A = hc.adjacency_auto(hc.hyperchain(5, 3))
-        res = closure_of(A, ())
+        res = closure_basis(A, ())
         assert res.rank == 0
         assert res.basis.shape == (5, 0)
 
     def test_classical_chain_graph_from_end_node(self):
         g = hc.hyperchain(4, 2)
         A = hc.adjacency_auto(g)
-        res = closure_of(A, (1,))
+        res = closure_basis(A, (1,))
         assert res.rank == 4
         assert kalman_rank(dense_tensor(A), (1,)) == 4
 
@@ -65,7 +60,7 @@ class TestReducedControllability:
             A = hc.adjacency_auto(g) if g.edges else hc.AdjacencyTensor(2, 5, {})
             dense = dense_tensor(A)
             nodes = tuple(sorted(set(j + 1 for j in seeded_ints(seed, 2, 5))))
-            got = closure_of(A, nodes).rank
+            got = closure_basis(A, nodes).rank
             assert got == kalman_rank(dense, nodes)
 
     def test_basis_is_orthonormal_and_contains_controls(self):
@@ -73,18 +68,18 @@ class TestReducedControllability:
         # the basis only once loses orthogonality there and overshoots n
         for graph, nodes in ((hc.hyperstar(7, 4), (1, 2, 5)), (hc.hyperring(96, 3), (1, 2))):
             A = hc.adjacency_auto(graph)
-            mat = hc.ControlMatrix(nodes).matrix(A.dim)
-            res = closure_basis(A, mat)
+            res = closure_basis(A, nodes)
             assert res.rank <= A.dim
             gram = res.basis.T @ res.basis
             assert gram == pytest.approx(np.eye(res.rank), abs=1e-10)
             # every control column reconstructs from the basis
+            mat = np.eye(A.dim)[:, [j - 1 for j in nodes]]
             recon = res.basis @ (res.basis.T @ mat)
             assert recon == pytest.approx(mat, abs=1e-10)
 
     def test_rank_equals_basis_columns(self):
         A = hc.adjacency_auto(hc.hyperring(6, 3))
-        res = closure_of(A, (1, 2))
+        res = closure_basis(A, (1, 2))
         assert res.rank == res.basis.shape[1]
 
     def test_matches_dense_definition_oracle(self):
@@ -98,7 +93,7 @@ class TestReducedControllability:
             A = hc.adjacency_auto(g)
             m = 1 + seed % 3
             nodes = tuple(sorted(set(j + 1 for j in seeded_ints(seed + 99, m, n))))
-            got = closure_of(A, nodes).rank
+            got = closure_basis(A, nodes).rank
             assert got == dense_subspace_rank(A, nodes)
             cases += 1
         assert cases >= 20
@@ -110,7 +105,7 @@ class TestReducedControllability:
             if not g.edges:
                 continue
             A = hc.adjacency_auto(g)
-            res = closure_of(A, (1, 2))
+            res = closure_basis(A, (1, 2))
             extra = [
                 ttv_multi(A, [res.basis[:, i] for i in combo])
                 for combo in itertools.combinations_with_replacement(
@@ -122,23 +117,9 @@ class TestReducedControllability:
 
     def test_idempotent_on_closed_basis(self):
         A = hc.adjacency_auto(hc.hyperchain(6, 3))
-        first = closure_of(A, (1, 2))
-        again = closure_basis(A, first.basis)
+        first = closure_basis(A, (1, 2))
+        again = closure_basis(A, (), closed=first.basis)
         assert again.rank == first.rank
-
-    def test_scale_invariance_of_rank(self):
-        for seed in range(10):
-            g = random_hypergraph(seed, 6, 3, density=0.4)
-            if not g.edges:
-                continue
-            A = hc.adjacency_auto(g)
-            nodes = (1, 3, 5)
-            plain = hc.ControlMatrix(nodes).matrix(6)
-            scales = seeded_floats(seed, 3, lo=0.2, hi=3.0)
-            assert (
-                closure_basis(A, plain * scales).rank
-                == closure_basis(A, plain).rank
-            )
 
     def test_monotone_in_control_nodes(self):
         for seed in range(12):
@@ -162,22 +143,22 @@ class TestReducedControllability:
 
     def test_warm_start_matches_cold_start(self):
         A = hc.adjacency_auto(hc.hyperring(8, 4))
-        cold = closure_of(A, (1, 2, 3))
-        partial = closure_of(A, (1, 2))
-        e3 = np.zeros((8, 1))
-        e3[2, 0] = 1.0
-        warm = closure_basis(A, np.hstack([partial.basis, e3]))
+        cold = closure_basis(A, (1, 2, 3))
+        # one node at a time, each closure warm-started from the last
+        warm = closure_basis(A, (1,))
+        for j in (2, 3):
+            warm = closure_basis(A, (j,), closed=warm.basis)
         assert warm.rank == cold.rank
 
     def test_closed_basis_warm_start_adds_only_the_new_span(self):
         A = hc.adjacency_auto(hc.hyperring(8, 4))
-        partial = closure_of(A, (1, 2))
-        cold = closure_of(A, (1, 2, 3))
-        warm = closure_basis(A, hc.ControlMatrix((3,)).matrix(8), closed=partial.basis)
+        partial = closure_basis(A, (1, 2))
+        cold = closure_basis(A, (1, 2, 3))
+        warm = closure_basis(A, (3,), closed=partial.basis)
         assert warm.rank == cold.rank
         assert np.array_equal(warm.basis[:, : partial.rank], partial.basis)
         # a start column already in the closed span opens no frontier round
-        inside = closure_basis(A, partial.basis[:, :1], closed=partial.basis)
+        inside = closure_basis(A, (1,), closed=partial.basis)
         assert inside.rank == partial.rank and inside.iterations == 0
 
     @pytest.mark.parametrize(
@@ -190,7 +171,7 @@ class TestReducedControllability:
         # from 1e160 up
         g = hc.hyperchain(12, 3)
         A = hc.adjacency_auto(hc.Hypergraph(12, g.edges, weights=(c,) * len(g.edges)))
-        assert closure_of(A, (1, 2)).rank == 12
+        assert closure_basis(A, (1, 2)).rank == 12
 
     @pytest.mark.parametrize("c", [1e-300, 1e160, 1e300])
     def test_minimum_does_not_depend_on_the_weight_scale(self, c):
@@ -216,7 +197,7 @@ class TestReducedControllability:
 
 def float_and_exact_rank(n, k, density, seed, node):
     A = hc.adjacency_auto(hc.random_uniform(n, k, density, seed))
-    return closure_of(A, (node,)).rank, exact_closure_rank(A, (node,))
+    return closure_basis(A, (node,)).rank, exact_closure_rank(A, (node,))
 
 
 # (n, density, seed, control node) -> (exact rank, rank an eps-relative
@@ -305,12 +286,12 @@ class TestRoundingFloor:
     def test_cold_closure_drops_a_noise_column(self):
         A = hc.adjacency_auto(hc.random_uniform(8, 3, 0.1, 9))
         assert exact_closure_rank(A, (1, 6, 7)) == 7
-        assert closure_of(A, (1, 6, 7)).rank == 7
+        assert closure_basis(A, (1, 6, 7)).rank == 7
 
     def test_warm_closure_drops_a_noise_column(self):
         A = hc.adjacency_auto(hc.random_uniform(8, 2, 0.25, 17))
-        first = closure_of(A, (1,))
-        warm = closure_basis(A, hc.ControlMatrix((5,)).matrix(8), closed=first.basis)
+        first = closure_basis(A, (1,))
+        warm = closure_basis(A, (5,), closed=first.basis)
         assert exact_closure_rank(A, (1, 5)) == 7
         assert warm.rank == 7
 
@@ -320,7 +301,7 @@ class TestRoundingFloor:
         # tensor's scale, so weight 1e-12 keeps it
         A = hc.adjacency_auto(hc.Hypergraph(5, ((1, 2, 3), (3, 4, 5)), weights=(1.0, 1e-12)))
         assert exact_closure_rank(A, (1, 2, 4)) == 5
-        assert closure_of(A, (1, 2, 4)).rank == 5
+        assert closure_basis(A, (1, 2, 4)).rank == 5
 
     def test_warm_chains_match_exact_rank(self):
         # every 2-subset {a, b}, closed as {a} and then warm-extended by b
@@ -328,11 +309,9 @@ class TestRoundingFloor:
         for k, density in ((2, 0.25), (2, 0.4), (3, 0.1)):
             for seed in range(1, 18):
                 A = hc.adjacency_auto(hc.random_uniform(8, k, density, seed))
-                single = [closure_of(A, (a,)) for a in range(1, 9)]
+                single = [closure_basis(A, (a,)) for a in range(1, 9)]
                 for a, b in itertools.combinations(range(1, 9), 2):
-                    got = closure_basis(
-                        A, hc.ControlMatrix((b,)).matrix(8), closed=single[a - 1].basis
-                    ).rank
+                    got = closure_basis(A, (b,), closed=single[a - 1].basis).rank
                     want = exact_closure_rank(A, (a, b))
                     if got != want:
                         wrong.append((k, density, seed, a, b, got, want))
@@ -349,14 +328,14 @@ class TestWeightSkew:
     @pytest.mark.xfail(raises=AssertionError, reason="float rank 4, exact rank 5")
     def test_floor_drops_an_edge_1e14_lighter(self):
         A = hc.adjacency_auto(hc.Hypergraph(5, ((1, 2, 3), (3, 4, 5)), weights=(1.0, 1e-14)))
-        assert closure_of(A, (1, 2, 4)).rank == exact_closure_rank(A, (1, 2, 4)) == 5
+        assert closure_basis(A, (1, 2, 4)).rank == exact_closure_rank(A, (1, 2, 4)) == 5
 
     @pytest.mark.xfail(raises=AssertionError, reason="float rank 4, exact rank 12")
     def test_cutoff_drops_a_direction_under_1e9_weight_skew(self):
         g = hc.hyperchain(12, 3)
         weights = tuple(1e9 if i % 2 else 1.0 for i in range(len(g.edges)))
         A = hc.adjacency_auto(hc.Hypergraph(12, g.edges, weights=weights))
-        assert closure_of(A, (1, 2)).rank == exact_closure_rank(A, (1, 2)) == 12
+        assert closure_basis(A, (1, 2)).rank == exact_closure_rank(A, (1, 2)) == 12
 
 
 class TestVerdict:

@@ -234,15 +234,15 @@ class TestDrift:
 
 
 class TestControlMatrix:
-    def test_matrix_columns(self):
-        B = hc.ControlMatrix((3, 1))
-        expect = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
-        assert np.array_equal(B.matrix(3), expect)
-
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             hc.ControlMatrix((1, 1))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match="exceed"):
-            hc.ControlMatrix((4,)).matrix(3)
+        # node 0 must not wrap around to row n
+        A = single_edge_tensor(3, (1, 2, 3))
+        for node in (0, 4):
+            with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
+                hc.closure_basis(A, (1, node))
+            with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
+                hc.verdict(A, hc.ControlMatrix((1, node)))
