@@ -105,7 +105,7 @@ def load_time_series_csv(path, has_header: bool = False) -> TimeSeriesMatrix:
     the channel labels, one per subsequent row.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader if row]
     except UnicodeDecodeError as exc:

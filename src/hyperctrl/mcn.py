@@ -26,9 +26,9 @@ class MCNResult:
     set. Greedy results carry a ``rank_trace`` of (node added, rank after)
     pairs. ``closures`` counts the closures the search ran and ``skipped``
     what its prunes saved, by prune (greedy: ``early_stop`` and ``twins``
-    count candidates; exact: ``twins`` counts children, ``bound`` the later
-    siblings a failed completion bound cuts off); neither takes part in
-    equality, which compares answers.
+    count candidates; exact: ``twins`` and ``symmetry`` count children,
+    ``bound`` the later siblings a failed completion bound cuts off);
+    neither takes part in equality, which compares answers.
     """
 
     value: int
@@ -101,6 +101,128 @@ def _twin_classes(tensor: AdjacencyTensor) -> list[tuple]:
     return [tuple(members) for members in classes]
 
 
+# Caps on the automorphism search of ``mcn_exact``: the elements kept and
+# the candidate images tried. Past either, the search stops and the prune
+# uses the elements found so far, which is sound for any subset of them.
+_AUT_ELEMENTS = 128
+_AUT_STEPS = 4000
+
+
+def _automorphisms(tensor: AdjacencyTensor, classes: list[tuple]) -> np.ndarray:
+    """The tensor's class-monotone automorphisms as inverse images: row r
+    holds sigma_r^-1(i) in column i - 1, in 1-based node labels. The
+    identity is one of the rows.
+
+    With ``classes`` from ``_twin_classes``, sigma is class-monotone when it
+    maps every stored pattern onto a stored pattern with the same
+    coefficient, and each twin class onto a twin class of the same size,
+    i-th member to i-th member. Any automorphism followed by twin swaps is
+    one of these, so they stand for the whole group modulo twins.
+
+    A backtrack maps the class representatives in breadth-first order from
+    node 1. A candidate image has a class of the same size and the same
+    multiset of (distinct nodes, multiplicity, coefficient) over its
+    patterns. It is rejected at once when a member shares a different number
+    of patterns with some mapped node than its image does with that node's
+    image, or when a pattern whose nodes are now all mapped has no stored
+    image with the same coefficient. The search keeps at most
+    ``_AUT_ELEMENTS`` elements and tries at most ``_AUT_STEPS`` candidates.
+    """
+    n = tensor.dim
+    entries = tensor.entries
+    incident: list[list] = [[] for _ in range(n + 1)]
+    # shares[u][v]: the number of patterns that hold both u and v
+    shares = [[0] * (n + 1) for _ in range(n + 1)]
+    for pattern in entries:
+        nodes = set(pattern)
+        for u in nodes:
+            incident[u].append(pattern)
+            for v in nodes:
+                shares[u][v] += 1
+    members = {c[0]: c for c in classes}
+    rep = {v: c[0] for c in classes for v in c}
+    signature = {
+        r: (len(c), tuple(sorted((len(set(p)), p.count(r), entries[p]) for p in incident[r])))
+        for r, c in members.items()
+    }
+    # the candidate images: the representatives with each signature
+    alike: dict = {}
+    for r in members:
+        alike.setdefault(signature[r], []).append(r)
+    # breadth-first from node 1, restarting at the lowest unvisited
+    # representative on a disconnected tensor; parent[d] found order[d]
+    order: list[int] = []
+    parent: list[int] = []
+    depth: dict = {}
+    for root in members:
+        if root in depth:
+            continue
+        head = depth[root] = len(order)
+        order.append(root)
+        parent.append(0)
+        while head < len(order):
+            r = order[head]
+            head += 1
+            for pattern in (p for v in members[r] for p in incident[v]):
+                for u in pattern:
+                    if rep[u] not in depth:
+                        depth[rep[u]] = len(order)
+                        order.append(rep[u])
+                        parent.append(r)
+    # the patterns whose nodes are all mapped once order[d] is
+    closing: list[list] = [[] for _ in order]
+    for pattern, coef in entries.items():
+        closing[max(depth[rep[v]] for v in pattern)].append((pattern, coef))
+
+    image = [0] * (n + 1)
+    used = [False] * (n + 1)
+    mapped: list[int] = []
+    found: list[list] = []
+    steps = 0
+    # the backtrack keeps one candidate iterator per depth on a stack, so
+    # that no recursion limit bounds the number of classes
+    pending = [iter(alike[signature[order[0]]])]
+    chosen: list[int] = []
+    while pending and len(found) < _AUT_ELEMENTS and steps < _AUT_STEPS:
+        d = len(pending) - 1
+        s = next(pending[-1], 0)
+        if not s:
+            pending.pop()
+            if chosen:
+                used[chosen.pop()] = False
+                del mapped[-len(members[order[d - 1]]):]
+            continue
+        r, p = order[d], parent[d]
+        # past a root, the image shares as many patterns with the parent's
+        # image as the representative does with the parent
+        if used[s] or p and shares[image[p]][s] != shares[p][r]:
+            continue
+        steps += 1
+        src = members[r]
+        for v, w in zip(src, members[s]):
+            image[v] = w
+        mapped.extend(src)
+        if not (
+            all(shares[v][u] == shares[image[v]][image[u]] for v in src for u in mapped)
+            and all(
+                entries.get(tuple(sorted(image[v] for v in pattern))) == coef
+                for pattern, coef in closing[d]
+            )
+        ):
+            del mapped[-len(src):]
+        elif d + 1 < len(order):
+            used[s] = True
+            chosen.append(s)
+            pending.append(iter(alike[signature[order[d + 1]]]))
+        else:
+            inverse = [0] * n
+            for v in range(1, n + 1):
+                inverse[image[v] - 1] = v
+            found.append(inverse)
+            del mapped[-len(src):]
+    return np.array(found, dtype=np.intp).reshape(-1, n)
+
+
 def connected_components(tensor: AdjacencyTensor) -> list[Component]:
     """Split a graph's one tensor by pattern reachability; a node in no
     pattern is a singleton. Each piece is the tensor restricted to one
@@ -155,6 +277,13 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
     - j has a lower twin (see ``_twin_classes``) that P lacks: swapping the
       two maps every set below the child onto a lexicographically smaller
       one of the same size and rank;
+    - an automorphism sigma (see ``_automorphisms``, found once per call)
+      maps every set below the child onto a lexicographically smaller one.
+      The child's indicator x is decided on 1..j, and that of its image,
+      y_i = x[sigma^-1(i)], where sigma^-1(i) <= j. If the first i <= j at
+      which y is undecided or differs from x is decided with y_i = 1 and
+      x_i = 0, every set S below the child and sigma(S) agree before i, and
+      only sigma(S) holds i. All sigma are checked at once;
     - e_j already lies in closure(P) (the child's rank equals P's): every set
       below the child has the closure of the same set without j, one node
       smaller, so none is a minimum.
@@ -166,11 +295,14 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
     sibling is either: P's loop over its children ends there. A child at the
     size bound has no children to look at, and its bound is not computed.
 
-    No rule drops a prefix of the lexicographically first minimum set W: W
-    holds the lower twin of each of its members (it is the least of its twin
-    orbit), each of its nodes raises the rank (or W less that node would be
-    full), and each of its prefixes' bounds holds closure(W). So the witness
-    is the one the plain enumeration by size finds.
+    No rule drops a prefix of the lexicographically first minimum set W. An
+    automorphism maps W onto a full set of the same size, so W is the least
+    set of its orbit: it holds the lower twin of each of its members, and
+    the symmetry rule, which fires only when every set below the child has
+    a smaller image, never fires on a prefix of W, with the whole group or
+    any part of it. Each of W's nodes raises the rank (or W less that node
+    would be full), and each of its prefixes' bounds holds closure(W). So
+    the witness is the one the plain enumeration by size finds.
 
     Raises:
         ExactSearchGuardError: n exceeds ``guard``; use the greedy search.
@@ -183,15 +315,32 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
             f"exhaustive search over {n} nodes exceeds the guard of {guard}; "
             "raise the guard explicitly or use mcn_greedy"
         )
+    classes = _twin_classes(tensor)
     # the next lower member of each node's twin class, 0 for none
     lower_twin = [0] * (n + 1)
-    for members in _twin_classes(tensor):
+    for members in classes:
         for lo, hi in zip(members, members[1:]):
             lower_twin[hi] = lo
-    counts = {"closures": 0, "twins": 0, "bound": 0}
+    group = _automorphisms(tensor, classes)
+    group = group[(group != np.arange(1, n + 1)).any(axis=1)]
+    rows = np.arange(len(group))
+    counts = {"closures": 0, "twins": 0, "symmetry": 0, "bound": 0}
     best: tuple = ()
     # the largest set size still worth a look, one under the smallest full set
     limit = n
+
+    def mapped_earlier(child: tuple) -> bool:
+        # x is the child's indicator, decided on 1..j; y = x o sigma^-1 is
+        # its image's, decided where sigma^-1(i) <= j
+        j = child[-1]
+        x = np.zeros(n + 1, dtype=bool)
+        x[list(child)] = True
+        inverse = group[:, :j]
+        decided = inverse <= j
+        y = x[inverse]
+        stop = ~decided | (y != x[1 : j + 1])
+        first = stop.argmax(axis=1)
+        return bool((stop & decided & y)[rows, first].any())
 
     def walk(prefix: tuple, basis: np.ndarray) -> None:
         nonlocal best, limit
@@ -203,6 +352,9 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
                 counts["twins"] += 1
                 continue
             child = prefix + (j,)
+            if len(group) and mapped_earlier(child):
+                counts["symmetry"] += 1
+                continue
             counts["closures"] += 1
             res = closure_basis(tensor, (j,), closed=basis)
             if res.rank == basis.shape[1]:

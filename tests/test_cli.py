@@ -219,7 +219,7 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "method, skipped",
-        [("greedy", {"early_stop": 1, "twins": 9}), ("exact", {"twins": 11, "bound": 3})],
+        [("greedy", {"early_stop": 1, "twins": 9}), ("exact", {"twins": 11, "symmetry": 0, "bound": 3})],
     )
     def test_search_counts_per_component(self, tmp_path, capsys, method, skipped):
         # star(6,3) beside a lone pair edge: two components
@@ -304,6 +304,22 @@ class TestJsonOutput:
         graph = build_hypergraph(load_time_series_csv(str(csv)), 2, 0.5)
         assert graph.edges
         assert out == dumped(hg.to_json_dict(graph))
+
+    @pytest.mark.parametrize("header", [b"", b"a,b,c\n"], ids=["no-header", "header"])
+    def test_ingest_reads_past_a_byte_order_mark(self, tmp_path, capsys, header):
+        # spreadsheet programs write UTF-8 CSVs with a leading BOM
+        text = header + b"1,2,3,4,5\n2,4,6,8,11\n5,3,4,1,2\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        flags = ["--has-header"] if header else []
+        outs = []
+        for path in (plain, marked):
+            series = load_time_series_csv(str(path), has_header=bool(header))
+            outs.append(run(["ingest", str(path), "--order", "2", "--threshold", "0.5", *flags], capsys))
+            outs.append((series.signals.tolist(), series.labels))
+        assert outs[0][0] == 0
+        assert outs[0] == outs[2] and outs[1] == outs[3]
 
 
 class TestTolerance:

@@ -9,7 +9,7 @@ import pytest
 
 import hyperctrl as hc
 from hyperctrl import mcn as mcn_mod
-from hyperctrl.mcn import ExactSearchGuardError, _twin_classes, mcn_predicted
+from hyperctrl.mcn import ExactSearchGuardError, _automorphisms, _twin_classes, mcn_predicted
 
 from helpers import (
     exact_closure_rank,
@@ -80,7 +80,7 @@ class TestExact:
         # sets the size bound to 2, so (1, 2) looks at no later child; the
         # five other children the walk looks at lack a lower twin
         assert len(calls) == res.closures == 2 + 2 + 1
-        assert res.skipped == {"twins": 5, "bound": 0}
+        assert res.skipped == {"twins": 5, "symmetry": 0, "bound": 0}
         assert (res.value, res.witness) == (3, (1, 2, 3))
         assert hc.verdict(auto(hc.complete(4, 4)), hc.ControlMatrix(res.witness)).full
 
@@ -118,6 +118,16 @@ def reference_grid():
 REFERENCE_GRID = dict(reference_grid())
 
 
+SYMMETRIC = {
+    "ring-12-3": hc.hyperring(12, 3),
+    "ring-14-4": hc.hyperring(14, 4),
+    "r-ring-12-3-1": hc.overlap_variant(12, 3, 1, "ring"),
+    "r-ring-12-4-2": hc.overlap_variant(12, 4, 2, "ring"),
+    "r-ring-14-3-1": hc.overlap_variant(14, 3, 1, "ring"),
+    "cycle-10": hc.hyperring(10, 2),
+}
+
+
 class TestExactMatchesReference:
     """The depth-first search with warm starts and prunes returns what
     closing every subset cold in lexicographic order returns."""
@@ -132,16 +142,25 @@ class TestExactMatchesReference:
     @pytest.mark.parametrize(
         "graph, witness, closures, skipped",
         [
-            (hc.overlap_variant(12, 3, 1, "ring"), (1, 2, 4, 6, 8, 10), 704, {"twins": 0, "bound": 130}),
-            (hc.hyperstar(12, 3), (1, *range(3, 12)), 40, {"twins": 89, "bound": 9}),
+            (hc.overlap_variant(12, 3, 1, "ring"), (1, 2, 4, 6, 8, 10), 136, {"twins": 0, "symmetry": 50, "bound": 48}),
+            (hc.hyperstar(12, 3), (1, *range(3, 12)), 40, {"twins": 89, "symmetry": 0, "bound": 9}),
         ],
         ids=["r-ring-12-3-1", "star-12-3"],
     )
     def test_closure_counts(self, graph, witness, closures, skipped):
-        # one walk per subset size ran 1500 and 198 closures on these inputs
+        # one walk per subset size ran 1500 and 198 closures on these inputs;
+        # without the symmetry prune, the one walk ran 704 on the ring
         got = hc.mcn_exact(auto(graph))
         assert (got.value, got.witness) == (len(witness), witness)
         assert (got.closures, got.skipped) == (closures, skipped)
+
+    @pytest.mark.parametrize("name", list(SYMMETRIC))
+    def test_symmetric_families(self, name):
+        # inputs whose automorphism group modulo twins is not trivial
+        A = auto(SYMMETRIC[name])
+        got = hc.mcn_exact(A)
+        assert got == exact_mcn_reference(A)
+        assert got.skipped["symmetry"] > 0
 
     def test_noise_column_is_no_witness(self):
         # closure({1, 6, 7}) has exact rank 7 of 8; a rounding-noise column
@@ -211,6 +230,97 @@ class TestTwinClasses:
             assert _twin_classes(A) == want, g
             with_twins += len(want) < g.n
         assert with_twins >= 10
+
+
+def permutation_group_order(tensor):
+    """The number of node permutations that map every stored pattern onto a
+    stored pattern with the same coefficient, by trying each one."""
+    entries = tensor.entries
+    order = 0
+    for perm in itertools.permutations(range(1, tensor.dim + 1)):
+        order += all(
+            entries.get(tuple(sorted(perm[v - 1] for v in p))) == c for p, c in entries.items()
+        )
+    return order
+
+
+class TestAutomorphisms:
+    GRAPHS = {
+        "r-ring-12-3-1": hc.overlap_variant(12, 3, 1, "ring"),
+        "ring-12-3": hc.hyperring(12, 3),
+        "ring-14-4": hc.hyperring(14, 4),
+        "cycle-10": hc.hyperring(10, 2),
+        "star-12-3": hc.hyperstar(12, 3),
+        "complete-6-3": hc.complete(6, 3),
+        # the weights tell every edge of the ring apart
+        "weighted-ring-12-3": hc.Hypergraph(
+            12, hc.hyperring(12, 3).edges, weights=tuple(float(w) for w in range(1, 13))
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "name, order",
+        [
+            ("r-ring-12-3-1", 12),
+            ("ring-12-3", 24),
+            ("ring-14-4", 28),
+            ("cycle-10", 20),
+            # every automorphism of these is a product of twin swaps
+            ("star-12-3", 1),
+            ("complete-6-3", 1),
+            ("weighted-ring-12-3", 1),
+        ],
+    )
+    def test_group_orders(self, name, order):
+        A = auto(self.GRAPHS[name])
+        group = _automorphisms(A, _twin_classes(A))
+        assert group.shape == (order, A.dim)
+        assert len({tuple(row) for row in group.tolist()}) == order
+        assert list(range(1, A.dim + 1)) in group.tolist()
+
+    def test_every_element_is_class_monotone(self):
+        graphs = list(self.GRAPHS.values())
+        graphs += [hc.overlap_variant(12, 4, 2, "ring"), hc.overlap_variant(13, 3, 1, "star")]
+        graphs += [hc.hyperchain(9, 3), hc.hyperstar(8, 3)]
+        graphs += [random_mixed_hypergraph(seed, 7, 3) for seed in range(1, 6)]
+        for g in graphs:
+            A = auto(g)
+            classes = _twin_classes(A)
+            n = A.dim
+            group = _automorphisms(A, classes)
+            assert len(group) >= 1
+            for inverse in group.tolist():
+                assert sorted(inverse) == list(range(1, n + 1))
+                sigma = {v: i for i, v in enumerate(inverse, start=1)}
+                for p, c in A.entries.items():
+                    assert A.entries.get(tuple(sorted(sigma[v] for v in p))) == c
+                targets = {members[0]: members for members in classes}
+                for members in classes:
+                    image = targets.get(sigma[members[0]])
+                    assert image is not None and len(image) == len(members)
+                    assert [sigma[v] for v in members] == list(image)
+
+    def test_group_times_twin_swaps_is_every_automorphism(self):
+        # monotone elements times the permutations inside each twin class
+        graphs = [hc.hyperring(7, 3), hc.hyperstar(7, 3), hc.hyperchain(7, 2)]
+        graphs += [hc.random_uniform(7, 3, 0.15, seed) for seed in range(1, 4)]
+        graphs += [random_mixed_hypergraph(seed, 7, 3) for seed in range(1, 4)]
+        for g in graphs:
+            A = auto(g)
+            classes = _twin_classes(A)
+            swaps = math.prod(math.factorial(len(c)) for c in classes)
+            assert len(_automorphisms(A, classes)) * swaps == permutation_group_order(A), g
+
+    @pytest.mark.parametrize("elements, steps", [(2, 4000), (128, 0), (1, 1)])
+    def test_capped_search_keeps_the_witness(self, monkeypatch, elements, steps):
+        # pruning by any subset of the group is sound
+        monkeypatch.setattr(mcn_mod, "_AUT_ELEMENTS", elements)
+        monkeypatch.setattr(mcn_mod, "_AUT_STEPS", steps)
+        A = auto(self.GRAPHS["r-ring-12-3-1"])
+        assert len(_automorphisms(A, _twin_classes(A))) <= min(elements, steps)
+        got = hc.mcn_exact(A)
+        assert (got.value, got.witness) == (6, (1, 2, 4, 6, 8, 10))
+        assert 136 <= got.closures <= 704
 
 
 def greedy_grid():
