@@ -104,7 +104,7 @@ def _solve_by_component(graph: hg.Hypergraph, solve, counts: bool = False) -> di
     Every component is the whole tensor restricted to its nodes, so it keeps
     the graph's order k. Witnesses and rank traces are mapped back to the
     graph's labels. With ``counts`` each component also records its search:
-    the closures run and what each prune skipped.
+    the closures run, what each prune skipped, and the prime of its ranks.
     """
     per_component = []
     total = 0
@@ -122,7 +122,8 @@ def _solve_by_component(graph: hg.Hypergraph, solve, counts: bool = False) -> di
                 [comp.nodes[j - 1], rank] for j, rank in result.rank_trace
             ]
         if counts:
-            entry["search"] = {"closures": result.closures, "skipped": result.skipped}
+            search = {"closures": result.closures, "skipped": result.skipped}
+            entry["search"] = {**search, "prime": comp.tensor.kernel().prime}
         per_component.append(entry)
         total += result.value
         witness.extend(mapped_witness)
@@ -153,7 +154,8 @@ def cmd_check(args) -> int:
     graph = _load_graph(args.hypergraph)
     loaded = time.perf_counter()
     controls = ControlMatrix(nodes=_parse_nodes(args.controls, "--controls"))
-    result = verdict(hg.adjacency_auto(graph), controls)
+    tensor = hg.adjacency_auto(graph)
+    result = verdict(tensor, controls)
     timings = {"load_s": loaded - started, "compute_s": time.perf_counter() - loaded}
     payload = {
         "rank": result.rank,
@@ -163,7 +165,7 @@ def cmd_check(args) -> int:
         "controls": list(controls.nodes),
     }
     if args.report:
-        parameters = {"controls": list(controls.nodes)}
+        parameters = {"controls": list(controls.nodes), "prime": tensor.kernel().prime}
         payload = _report("check", parameters, graph, payload, timings)
     _emit_json(payload)
     return 0

@@ -1,31 +1,36 @@
-"""Reduced controllability matrix and rank verdicts.
+"""Reduced controllability matrix and rank verdicts, decided over GF(p).
 
 The controllability subspace is the closure of the control nodes' unit
-columns e_j under the tensor map. It grows in frontier (semi-naive) rounds:
-a round applies the tensor only to the multisets of basis columns that hold
-a column added in the round before. Each result is divided by the tensor's cached
-scale (see ``_Kernel``), and one whose norm is then at or under the rounding
-floor n * 4 * eps is dropped as rounding noise. Every other result is scaled
-to unit norm and projected out of the basis twice, and an SVD of that
-residual keeps the singular values above the cutoff n * 1e-10. The rounds
-stop at rank n or when one adds nothing.
+vectors e_j under the tensor map. Its rank is decided over the prime field
+of the tensor's kernel (see ``tensor``), where every step is exact.
+
+The tensor is symmetric in its k - 1 slots and p > k - 1, so by
+polarization the closure of a span U is U plus the span of the values
+T(x, ..., x) for x in U, applied until nothing new comes in.
+``closure_basis`` keeps U as a reduced echelon basis mod p and, while the
+rank is under n, draws a batch of two uniform random x in U, contracts the
+tensor against them, and adds what is new; it stops when a batch adds
+nothing. Every vector it keeps lies in the closure mod p, and the rank mod
+p never exceeds the rational rank, so a full rank is a proof. A span that
+is not yet closed has a nonzero polynomial of degree k - 1 in x that a draw
+must miss, so by Schwartz-Zippel (Schwartz, J. ACM 27(4), 1980) a draw
+lands in U with probability at most (k - 1)/p, and a batch of two with at
+most ((k - 1)/p)^2: under 2^-36 for k <= 4. The draws are seeded with a
+module constant on every call, so every answer repeats.
 ``closure_basis`` is the one way in for ``verdict`` and the MCN searches.
 """
 from __future__ import annotations
 
-import itertools
+import random
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .tensor import AdjacencyTensor, ControlMatrix, _apply_multisets
+from .tensor import AdjacencyTensor, ControlMatrix, _apply_polar
 
-# A round hands its multiset columns to ``_extend`` in groups of at most this
-# many (kernel rows x columns) products. The grouping decides which residuals
-# share an SVD, and so every bit of the basis; the contraction bounds its own
-# working set with ``tensor._CHUNK_ENTRIES``.
-_GROUP_ENTRIES = 1 << 22
+# The seed of the random draws, the same on every call.
+_SEED = 20200525
 
 
 class VerdictKind(Enum):
@@ -35,15 +40,12 @@ class VerdictKind(Enum):
 
 @dataclass(frozen=True)
 class ReducedControllabilityMatrix:
-    """Orthonormal basis of the controllability subspace.
+    """Reduced echelon basis mod p of the controllability subspace.
 
-    ``rank`` equals the column count of ``basis``; ``iterations`` counts the
-    frontier rounds executed. A residual direction counts when its singular
-    value exceeds n * 1e-10. Before that cutoff applies, every contracted
-    column is divided by a scale that bounds the tensor applied to unit
-    columns, and one at or under the rounding floor n * 4 * eps is dropped;
-    relative to the scale, the floor does not depend on the weights, nor
-    does the rank.
+    ``basis`` has one int64 column of residues per basis vector, ``rank``
+    columns in all. A column's first nonzero entry is its pivot, a 1, and
+    every other column is 0 in that row. ``iterations`` counts the batches
+    of random draws.
     """
 
     basis: np.ndarray
@@ -58,83 +60,96 @@ class ControllabilityVerdict:
     kind: VerdictKind
 
 
-def _frontier_multisets(s: int, m: int, lo: int) -> np.ndarray:
-    """Columns of the sorted multisets of m indices < s with largest index >= lo."""
-    sets = [
-        rest + (t,)
-        for t in range(lo, s)
-        for rest in itertools.combinations_with_replacement(range(t + 1), m - 1)
-    ]
-    return np.array(sets, dtype=np.intp).reshape(-1, m).T.copy()
-
-
-def _extend(
-    basis: np.ndarray, cols: np.ndarray, cutoff: float, floor: float = 0.0
-) -> np.ndarray:
-    """``basis`` plus an orthonormal basis of what ``cols`` add to its span.
-
-    Columns whose norm is at or under ``floor`` are dropped before the unit
-    scaling, so that rounding noise is never scaled up into a direction.
-    """
-    norms = np.sqrt(np.einsum("ij,ij->j", cols, cols))
-    keep = norms > floor
-    cols = cols[:, keep] / norms[keep]
-    if basis.shape[1]:
-        for _ in range(2):
-            cols -= basis @ (basis.T @ cols)
-    if np.einsum("ij,ij->", cols, cols) <= cutoff * cutoff:
-        return basis  # no singular value exceeds the Frobenius norm
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return np.concatenate((basis, u[:, s > cutoff]), axis=1)
+def _add_columns(free_part, pivots, free, ys, p):
+    """Add the vectors ``ys``, given on the ``free`` rows and 0 on the pivot
+    rows, to a reduced echelon basis kept as its ``free_part`` and its
+    ``pivots``; return the three of the grown basis."""
+    new = ys[:, :0]
+    rows: list[int] = []
+    for y in ys.T:
+        if rows:
+            y = (y - new @ y[rows]) % p
+        nonzero = np.flatnonzero(y)
+        if not nonzero.size:
+            continue
+        t = int(nonzero[0])
+        y = y * pow(int(y[t]), -1, p) % p
+        if rows:
+            new = np.concatenate(((new - np.outer(y, new[t])) % p, y[:, None]), axis=1)
+        else:
+            new = y[:, None]
+        rows.append(t)
+    if not rows:
+        return free_part, pivots, free
+    keep = np.ones(len(free), dtype=bool)
+    keep[rows] = False
+    # each old column loses its entries on the new pivot rows
+    old = (free_part[keep] - new[keep] @ free_part[rows]) % p
+    grown = np.concatenate((old, new[keep]), axis=1)
+    return grown, np.concatenate((pivots, free[rows])), free[keep]
 
 
 def closure_basis(
     tensor: AdjacencyTensor, nodes, *, closed: np.ndarray | None = None
 ) -> ReducedControllabilityMatrix:
-    """Grow the span of the unit columns e_j, j in ``nodes`` (1-based),
+    """Grow the span of the unit vectors e_j, j in ``nodes`` (1-based),
     until it is closed under the tensor map.
 
-    ``closed`` is an orthonormal basis of a span that is already closed;
-    only the rounds that the nodes add to it are run.
+    ``closed`` is the ``basis`` of an earlier closure of the same tensor;
+    when the nodes add nothing to its span, it is returned at once with no
+    draw.
 
     Raises:
         ValueError: a node lies outside [1, n], or ``closed`` lacks n rows.
     """
     n = tensor.dim
-    cutoff = n * 1e-10
     nodes = tuple(nodes)
     if not all(1 <= j <= n for j in nodes):
         raise ValueError(f"control nodes {nodes} lie outside [1, {n}]")
-    basis = np.zeros((n, 0)) if closed is None else np.asarray(closed, dtype=np.float64)
+    basis = np.asarray(np.zeros((n, 0)) if closed is None else closed, dtype=np.int64)
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValueError(f"closed matrix has shape {basis.shape}, expected ({n}, m)")
-    start = np.zeros((n, len(nodes)))
-    start[[j - 1 for j in nodes], range(len(nodes))] = 1.0
-    # columns below ``done`` had all their multisets applied; the rest are F
-    basis, done = _extend(basis, start, cutoff), basis.shape[1]
-    rounds = 0
-    while done < basis.shape[1] < n:
-        rounds += 1
-        kern = tensor.kernel()
-        if not kern.scale:
-            break  # every coefficient is zero, and so is every column
-        width = max(1, _GROUP_ENTRIES // max(1, kern.coefs.size))
-        # a contracted column this small next to the tensor's scale is within
-        # the rounding error of the tensor applied to unit columns; scaled to
-        # unit norm it would pass the cutoff as a direction that is not there
-        floor = n * 4 * np.finfo(np.float64).eps
-        frozen = basis
-        ms = _frontier_multisets(frozen.shape[1], tensor.order - 1, done)
-        for lo in range(0, ms.shape[1], width):
-            # divided by the scale, no column norm is squared out of range
-            cols = _apply_multisets(tensor, frozen, ms[:, lo : lo + width]) / kern.scale
-            basis = _extend(basis, cols, cutoff, floor)
-            if basis.shape[1] == n:
-                break
-        done = frozen.shape[1]
-    return ReducedControllabilityMatrix(
-        basis=basis, rank=basis.shape[1], iterations=rounds
-    )
+    p = tensor.kernel().prime
+    # The basis is kept on its free rows only: column i is 1 on row
+    # pivots[i] and 0 on the other pivot rows, so the work per added vector
+    # is rank x (n - rank), not rank x n.
+    pivots = (basis != 0).argmax(axis=0)
+    rank = len(pivots)
+    # e_j adds itself when j is a free row: row j turns into a pivot row, on
+    # which every other column is 0. When j is the pivot of column i, e_j
+    # adds e_j less that column, which is 0 on every pivot row.
+    column_of = dict(zip(pivots.tolist(), range(rank)))
+    starts = {j - 1 for j in nodes}
+    units = sorted(starts.difference(column_of))
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    is_free[units] = False
+    free = np.flatnonzero(is_free)
+    free_part = np.concatenate((basis[free], np.zeros((len(free), len(units)), np.int64)), axis=1)
+    pivots = np.concatenate((pivots, units)).astype(np.intp)
+    covered = sorted(column_of[j] for j in starts.intersection(column_of))
+    if covered:
+        free_part, pivots, free = _add_columns(free_part, pivots, free, -free_part[:, covered] % p, p)
+    if len(pivots) == rank:
+        return ReducedControllabilityMatrix(basis=basis, rank=rank, iterations=0)
+    batches = 0
+    draws = random.Random(_SEED)
+    x = np.empty((n, 2), dtype=np.int64)
+    while len(free):
+        batches += 1
+        g = np.frombuffer(draws.randbytes(8 * len(pivots)), dtype="<u4").reshape(-1, 2) % p
+        x[pivots] = g
+        x[free] = free_part @ g % p
+        ys = _apply_polar(tensor, x)
+        ys = (ys[free] - free_part @ ys[pivots]) % p
+        size = len(pivots)
+        free_part, pivots, free = _add_columns(free_part, pivots, free, ys, p)
+        if len(pivots) == size:
+            break
+    basis = np.zeros((n, len(pivots)), dtype=np.int64)
+    basis[free] = free_part
+    basis[pivots, range(len(pivots))] = 1
+    return ReducedControllabilityMatrix(basis=basis, rank=len(pivots), iterations=batches)
 
 
 def verdict(tensor: AdjacencyTensor, controls: ControlMatrix) -> ControllabilityVerdict:

@@ -389,7 +389,7 @@ def mcn_greedy(tensor: AdjacencyTensor) -> MCNResult:
     highest degree, then the lowest index. The rank for a candidate is
     computed by warm-starting the closure from the current closed basis and
     the candidate's unit column, which yields the same subspace as a cold
-    start; a candidate already in the span costs no round.
+    start; a candidate already in the span costs no draw.
 
     A step evaluates the candidates in tie-break order and keeps the first
     one of the largest gain, so two prunes keep every pick:

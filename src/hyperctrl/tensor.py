@@ -1,14 +1,17 @@
-"""Sparse supersymmetric tensors and the multilinear primitives built on them.
+"""Sparse supersymmetric tensors and their contraction over GF(p).
 
 A tensor of order k and dimension n is stored as a map from sorted index
 multisets (``patterns``) to a scalar: every index tuple realizing a stored
 pattern carries that per-tuple coefficient, and every other entry is zero.
-Supersymmetry therefore holds by construction. Tensor-vector products are
-evaluated matrix-free by walking the stored patterns and enumerating, for
-each pivot index, the distinct arrangements of the remaining pattern
-elements; the arrangement tables are precomputed once per tensor. One
-numpy kernel contracts them against batches of basis columns, chunked so
-that the products held at once stay bounded.
+Supersymmetry therefore holds by construction.
+
+Ranks are decided over GF(p), so the kernel stores one row per (pattern,
+pivot, arrangement of the rest) with the coefficient's residue: a double
+num / 2^e maps exactly to num * (2^e)^-1 mod p. The prime starts at
+2^20 - 3 and steps down to the next prime while a nonzero coefficient's
+numerator is a multiple of it, so no stored weight turns into a zero.
+``_apply_polar`` gives T(x, ..., x) mod p, in int64 with a reduction after
+each slot, so no product exceeds 2^40.
 """
 from __future__ import annotations
 
@@ -18,6 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The largest prime below 2^20: residues below it multiply to under 2^40 in
+# int64, and sums of 2^23 such products still fit.
+_PRIME = 1048573
+
 
 @dataclass
 class _Kernel:
@@ -25,56 +32,29 @@ class _Kernel:
 
     One row per (pattern, pivot, arrangement), sorted by output index:
     ``slots[l]`` holds the node feeding slot l and ``coefs`` the per-tuple
-    coefficient. The rows sharing an output index form one segment;
-    ``starts`` gives each segment's first row and ``targets`` its output
-    index. ``scale`` is the 2-norm of the per-segment sums of |coef|, 0 for
-    a tensor without a nonzero coefficient: it bounds the norm of the
-    tensor applied to unit-norm columns, and so sets the size of the
-    rounding noise in a contracted column.
+    coefficient's residue mod ``prime``. The rows sharing an output index
+    form one segment; ``starts`` gives each segment's first row and
+    ``targets`` its output index.
     """
 
     starts: np.ndarray   # (S,) first kernel row of each segment
     targets: np.ndarray  # (S,) 0-based output row of each segment, ascending
     slots: np.ndarray    # (k-1, R) 0-based node index per slot
-    coefs: np.ndarray    # (R,)
-    scale: float
+    coefs: np.ndarray    # (R,) int64 residues mod prime
+    prime: int
 
 
-# Cap on the (kernel rows x columns) products held at once: the multiset
-# columns are contracted in chunks of at most this many products, or of a
-# single column when one column alone needs more. A product array of
-# 128 KiB stays in cache and is reused from the heap; arrays of up to 32 MiB
-# (1 << 22 products) were mapped fresh from the OS and page-faulted on every
-# call, which made the contraction memory-bound.
-_CHUNK_ENTRIES = 1 << 14
-
-
-def _apply_multisets(
-    tensor: "AdjacencyTensor", basis: np.ndarray, ms: np.ndarray
-) -> np.ndarray:
-    """Contract the tensor against columns of ``basis`` selected by ``ms``.
-
-    ``ms`` has shape (k-1, q); result column c is the tensor applied to the
-    basis columns ms[0, c], ..., ms[k-2, c]. Chunking the columns bounds the
-    working set without changing any column's arithmetic.
-    """
-    n = tensor.dim
-    q = ms.shape[1]
-    out = np.zeros((n, q))
+def _apply_polar(tensor: "AdjacencyTensor", x: np.ndarray) -> np.ndarray:
+    """T(x, ..., x) mod p for each column x of ``x`` (n rows of residues)."""
     kern = tensor.kernel()
-    if kern.coefs.size == 0 or q == 0:
+    p = kern.prime
+    out = np.zeros_like(x)
+    if not kern.coefs.size:
         return out
-    basis = np.asarray(basis, dtype=np.float64)
-    ms = np.asarray(ms, dtype=np.intp)
-    width = max(1, _CHUNK_ENTRIES // kern.coefs.size)
-    for lo in range(0, q, width):
-        cols = ms[:, lo : lo + width]
-        prod = basis[:, cols[0]][kern.slots[0], :]
-        for slots, col in zip(kern.slots[1:], cols[1:]):
-            prod *= basis[:, col][slots, :]
-        prod *= kern.coefs[:, None]
-        sums = np.add.reduceat(prod, kern.starts, axis=0)
-        out[kern.targets, lo : lo + width] += sums
+    prod = kern.coefs[:, None] * x[kern.slots[0]] % p
+    for slots in kern.slots[1:]:
+        prod = prod * x[slots] % p
+    out[kern.targets] = np.add.reduceat(prod, kern.starts, axis=0) % p
     return out
 
 
@@ -117,11 +97,18 @@ class AdjacencyTensor:
 
 def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
     k = tensor.order
+    ratios = {value: value.as_integer_ratio() for value in map(float, tensor.entries.values())}
+    p = _PRIME
+    while any(num % p == 0 for num, _ in ratios.values() if num):
+        p -= 2
+        while any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+            p -= 2
+    residue = {value: num * pow(den, -1, p) % p for value, (num, den) in ratios.items()}
     rows: list[int] = []
-    coefs: list[float] = []
+    coefs: list[int] = []
     slot_idx: list[list[int]] = [[] for _ in range(k - 1)]
     for pattern in sorted(tensor.entries):
-        coef = tensor.entries[pattern]
+        coef = residue[float(tensor.entries[pattern])]
         for pivot in sorted(set(pattern)):
             rest = list(pattern)
             rest.remove(pivot)
@@ -134,19 +121,14 @@ def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
     order = np.argsort(row_arr, kind="stable")
     sorted_rows = row_arr[order]
     starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
-    coef_arr = np.ascontiguousarray(np.asarray(coefs, dtype=np.float64)[order])
-    # the 2-norm taken as max * norm(sums / max), so that no square leaves
-    # the double range at any weight scale
-    sums = np.add.reduceat(np.abs(coef_arr), starts)
-    top = float(sums.max()) if sums.size else 0.0
     return _Kernel(
         starts=starts,
         targets=sorted_rows[starts],
         slots=np.ascontiguousarray(
             np.asarray(slot_idx, dtype=np.intp).reshape(k - 1, -1)[:, order]
         ),
-        coefs=coef_arr,
-        scale=top * float(np.linalg.norm(sums / top)) if top else 0.0,
+        coefs=np.asarray(coefs, dtype=np.int64)[order],
+        prime=p,
     )
 
 
@@ -154,7 +136,7 @@ def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
 class ControlMatrix:
     """Control attachment points: column j of B is the basis vector e_nodes[j].
 
-    All input channels act with unit scale; the controllability rank is
+    All input channels act with unit gain; the controllability rank is
     invariant under nonzero column rescaling, so nothing is lost. The nodes
     are checked against the tensor's [1, n] where a closure starts from them.
     """

@@ -2,14 +2,14 @@
 
 The oracles recompute results from first principles (dense arrays, literal
 definitions, exact rational arithmetic) so the sparse production paths are
-checked against genuinely independent implementations. ``lemma1_check``
-tests the column-space lemma the closure relies on through the contraction
-kernel and numpy's SVD alone, with none of the closure's own code.
+checked against genuinely independent implementations.
 ``exact_mcn_reference`` and ``greedy_reference`` are the plain exhaustive
 and greedy searches that the pruned ones must agree with.
 ``modular_closure_rank`` decides the closure rank over GF(p), exactly and
-fast enough for hundreds of nodes. ``entry`` and ``ttv_multi`` are small
-conveniences over the production storage and kernel.
+fast enough for hundreds of nodes. ``entry`` reads one entry of the
+production storage. ``ttv_multi`` (in floats) and ``contract_mod_p``
+(exactly, then mod p) contract the tensor term by term from its stored
+patterns, with none of the production kernel.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from hyperctrl import (
     degrees,
 )
 from hyperctrl.hypergraph import _splitmix64
-from hyperctrl.tensor import _apply_multisets
 
 # Dense materialization allocates n^k entries; refuse anything above this.
 MAX_DENSE_ENTRIES = 10**6
@@ -54,10 +53,38 @@ def entry(tensor: AdjacencyTensor, indices) -> float:
     return tensor.entries.get(tuple(sorted(indices)), 0.0)
 
 
+def _terms(tensor: AdjacencyTensor):
+    """One (output row, slot rows, coefficient) per index tuple (i, j_1,
+    ..., j_{k-1}) that realizes a stored pattern, all 0-based."""
+    for pattern, coef in tensor.entries.items():
+        for pivot in set(pattern):
+            rest = list(pattern)
+            rest.remove(pivot)
+            for sigma in set(itertools.permutations(rest)):
+                yield pivot - 1, tuple(j - 1 for j in sigma), coef
+
+
 def ttv_multi(tensor: AdjacencyTensor, vectors) -> np.ndarray:
-    """Contract the tensor with k-1 vectors through the sparse kernel."""
-    ms = np.arange(tensor.order - 1, dtype=np.intp).reshape(-1, 1)
-    return _apply_multisets(tensor, np.column_stack(vectors), ms)[:, 0]
+    """Contract the tensor with k-1 vectors, in floats."""
+    out = np.zeros(tensor.dim)
+    for i, sigma, coef in _terms(tensor):
+        prod = coef
+        for v, j in zip(vectors, sigma):
+            prod *= v[j]
+        out[i] += prod
+    return out
+
+
+def contract_mod_p(tensor: AdjacencyTensor, vectors, p: int) -> list:
+    """Contract the tensor with k-1 integer vectors in exact rationals, then
+    reduce each entry a/b to a * b^-1 mod p."""
+    out = [Fraction(0)] * tensor.dim
+    for i, sigma, coef in _terms(tensor):
+        prod = Fraction(coef)
+        for v, j in zip(vectors, sigma):
+            prod *= int(v[j])
+        out[i] += prod
+    return [a.numerator * pow(a.denominator, -1, p) % p for a in out]
 
 
 def dense_ttv(tensor: AdjacencyTensor, vectors) -> np.ndarray:
@@ -119,15 +146,7 @@ def exact_closure_rank(tensor: AdjacencyTensor, control_nodes) -> int:
     ``tensor.entries``, and its result is reduced against the basis.
     """
     n, k = tensor.dim, tensor.order
-    # one term per index tuple (i, j_1, ..., j_{k-1}) realizing a pattern
-    terms = []
-    for pattern, coef in tensor.entries.items():
-        c = Fraction(coef)
-        for pivot in set(pattern):
-            rest = list(pattern)
-            rest.remove(pivot)
-            for sigma in set(itertools.permutations(rest)):
-                terms.append((pivot - 1, tuple(j - 1 for j in sigma), c))
+    terms = [(i, sigma, Fraction(coef)) for i, sigma, coef in _terms(tensor)]
     basis: list[list[Fraction]] = []
     pivots: list[int] = []
 
@@ -257,16 +276,11 @@ def _rank_mod_p(tensor: AdjacencyTensor, control_nodes, p: int) -> int:
     if n >= 1 << 11:
         raise ValueError(f"{n} nodes: an int64 dot product mod p overflows past 2047")
     rows, slots, coefs = [], [], []
-    for pattern, coef in tensor.entries.items():
+    for i, sigma, coef in _terms(tensor):
         num, den = float(coef).as_integer_ratio()
-        c = num * pow(den, -1, p) % p
-        for pivot in set(pattern):
-            rest = list(pattern)
-            rest.remove(pivot)
-            for sigma in set(itertools.permutations(rest)):
-                rows.append(pivot - 1)
-                slots.append([j - 1 for j in sigma])
-                coefs.append(c)
+        rows.append(i)
+        slots.append(sigma)
+        coefs.append(num * pow(den, -1, p) % p)
     rows = np.asarray(rows, dtype=np.int64)
     slots = np.asarray(slots, dtype=np.int64).reshape(-1, k - 1).T
     coefs = np.asarray(coefs, dtype=np.int64)
@@ -310,49 +324,6 @@ def _rank_mod_p(tensor: AdjacencyTensor, control_nodes, p: int) -> int:
         add(ys % p)
         t += 1
     return len(pivots)
-
-
-def multiset_columns(tensor: AdjacencyTensor, X: np.ndarray) -> np.ndarray:
-    """Tensor applied to every multiset of X's columns, one column each."""
-    ms = np.array(
-        list(itertools.combinations_with_replacement(range(X.shape[1]), tensor.order - 1)),
-        dtype=np.intp,
-    ).reshape(-1, tensor.order - 1)
-    return _apply_multisets(tensor, X, ms.T)
-
-
-def _svd_rank(mat: np.ndarray, cutoff: float) -> int:
-    if mat.shape[1] == 0:
-        return 0
-    return int(np.sum(np.linalg.svd(mat, compute_uv=False) > cutoff))
-
-
-def lemma1_check(
-    tensor: AdjacencyTensor, X: np.ndarray, tol: float | None = None
-) -> bool:
-    """Whether replacing X by its left singular vectors preserves the
-    expansion column space.
-
-    Compares the span of the tensor applied to multisets of X's columns with
-    the span obtained from X's left singular vectors, by checking that each
-    rank matches the rank of the concatenation. The default cutoff is
-    max(rows, cols) * eps * sigma_max; a given tol is an absolute cutoff.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != tensor.dim:
-        raise ValueError(f"X has shape {X.shape}, expected ({tensor.dim}, m)")
-    eps = np.finfo(np.float64).eps
-    u, s, _ = np.linalg.svd(X, full_matrices=False)
-    u = u[:, s > (tol if tol is not None else max(X.shape) * eps * s.max(initial=0.0))]
-    p = multiset_columns(tensor, X)
-    q = multiset_columns(tensor, u)
-    both = np.hstack([p, q])
-    if both.shape[1] == 0:
-        return True
-    sv = np.linalg.svd(both, compute_uv=False)
-    cutoff = tol if tol is not None else max(both.shape) * eps * sv.max(initial=0.0)
-    r_both = int(np.sum(sv > cutoff))
-    return _svd_rank(p, cutoff) == r_both and _svd_rank(q, cutoff) == r_both
 
 
 def membership_counts(graph: Hypergraph) -> np.ndarray:

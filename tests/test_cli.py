@@ -180,7 +180,7 @@ class TestIngest:
 
 class TestReport:
     def test_rank_tolerance_variable_is_ignored(self, tmp_path, capsys, monkeypatch):
-        # the rank cutoff is fixed, so no environment variable reaches it
+        # ranks are exact over GF(p), so no environment variable reaches them
         path = write_graph(tmp_path, CHAIN5)
         reports = []
         for value in (None, "nan"):
@@ -194,8 +194,24 @@ class TestReport:
                 del doc["timings"]
                 reports.append(doc)
         assert all(doc == reports[0] for doc in reports)
-        assert reports[0]["parameters"] == {"controls": [1, 2]}
+        assert reports[0]["parameters"] == {"controls": [1, 2], "prime": 1048573}
         assert reports[0]["result"]["rank"] == 5
+
+    def test_reports_record_the_prime_of_each_tensor(self, tmp_path, capsys):
+        # weight 1048573 gives {3, 4, 5} the coefficient 1048573 / 2, so the
+        # graph's tensor and its first component step down to the next
+        # prime; the component of the pair edge {6, 7} keeps the first one
+        doc = {"n": 7, "edges": [[1, 2, 3], [3, 4, 5], [6, 7]], "weights": [1.0, 1048573.0, 1.0]}
+        path = write_graph(tmp_path, doc)
+        code, out, _ = run(["check", path, "--controls", "1,2,4,6", "--report"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["parameters"]["prime"] == 1048571
+        assert report["result"]["rank"] == 7
+        code, out, _ = run(["mcn", path, "--report"], capsys)
+        assert code == 0
+        components = json.loads(out)["result"]["components"]
+        assert [c["search"]["prime"] for c in components] == [1048571, 1048573]
 
     @pytest.mark.parametrize(
         "argv", [["mcn", "--method", "exact"], ["check", "--controls", "1,2"]]
@@ -496,11 +512,10 @@ class TestMixedCardinality:
 
 
 class TestLargeGreedyWitness:
-    # The float closure overshoots the rank in k = 2 components of about 170
-    # nodes or more, so greedy stops early: the witness of this graph (value
-    # 28) has rank 196 of 200 over GF(p), and `check` agrees. Deciding the
-    # closure rank over GF(p) mends it.
-    @pytest.mark.xfail(raises=AssertionError, reason="float rank too high at n = 200, k = 2")
+    # A floating-point closure overshot the rank in k = 2 components of about
+    # 170 nodes or more, so greedy stopped early: its witness of this graph
+    # (value 28) has rank 196 of 200 over GF(p). The closure ranks over GF(p)
+    # now, and the witness is full.
     def test_random_200_witness_is_full_over_gfp(self, tmp_path, capsys):
         argv = ["--family", "random", "--n", "200", "--k", "2", "--density", "0.01"]
         code, out, _ = run(["generate", *argv, "--seed", "4"], capsys)

@@ -1,4 +1,4 @@
-"""Subspace iteration, rank verdicts, and the singular-vector lemma check."""
+"""The closure over GF(p) and rank verdicts, against independent oracles."""
 from __future__ import annotations
 
 import itertools
@@ -10,22 +10,29 @@ import hyperctrl as hc
 from hyperctrl.controllability import closure_basis
 
 from helpers import (
+    contract_mod_p,
     dense_subspace_rank,
     dense_tensor,
-    dense_ttv,
     exact_closure_rank,
     kalman_rank,
-    lemma1_check,
     modular_closure_rank,
     random_hypergraph,
     seeded_floats,
     seeded_ints,
-    ttv_multi,
 )
 
 
 def rank_of(graph, nodes, **kw):
     return closure_basis(hc.adjacency_auto(graph), nodes, **kw).rank
+
+
+def outside_span(res, vecs, p):
+    """What is left of each column of ``vecs`` after reducing it mod p by
+    the reduced echelon ``res.basis``: all zero exactly when it lies in the
+    span."""
+    pivots = (res.basis != 0).argmax(axis=0)
+    vecs = np.asarray(vecs, dtype=object)
+    return (vecs - res.basis.astype(object) @ vecs[pivots]) % p
 
 
 class TestReducedControllability:
@@ -63,19 +70,21 @@ class TestReducedControllability:
             got = closure_basis(A, nodes).rank
             assert got == kalman_rank(dense, nodes)
 
-    def test_basis_is_orthonormal_and_contains_controls(self):
-        # ring(96,3) runs 42 frontier rounds; projecting each residual out of
-        # the basis only once loses orthogonality there and overshoots n
+    def test_basis_is_echelon_and_holds_controls(self):
         for graph, nodes in ((hc.hyperstar(7, 4), (1, 2, 5)), (hc.hyperring(96, 3), (1, 2))):
             A = hc.adjacency_auto(graph)
+            p = A.kernel().prime
             res = closure_basis(A, nodes)
-            assert res.rank <= A.dim
-            gram = res.basis.T @ res.basis
-            assert gram == pytest.approx(np.eye(res.rank), abs=1e-10)
-            # every control column reconstructs from the basis
-            mat = np.eye(A.dim)[:, [j - 1 for j in nodes]]
-            recon = res.basis @ (res.basis.T @ mat)
-            assert recon == pytest.approx(mat, abs=1e-10)
+            assert res.basis.shape == (A.dim, res.rank)
+            assert ((0 <= res.basis) & (res.basis < p)).all()
+            # each column's first nonzero entry is a 1, its pivot, and the
+            # pivot rows hold the identity
+            pivots = (res.basis != 0).argmax(axis=0)
+            assert len(set(pivots.tolist())) == res.rank
+            assert np.array_equal(res.basis[pivots], np.eye(res.rank, dtype=np.int64))
+            # every control column lies in the span
+            units = np.eye(A.dim, dtype=np.int64)[:, [j - 1 for j in nodes]]
+            assert not outside_span(res, units, p).any()
 
     def test_rank_equals_basis_columns(self):
         A = hc.adjacency_auto(hc.hyperring(6, 3))
@@ -99,21 +108,20 @@ class TestReducedControllability:
         assert cases >= 20
 
     def test_fixed_point_is_stable_one_more_round(self):
-        # expanding the returned basis once more must not raise the rank
+        # the tensor applied to any multiset of basis columns stays in the
+        # span mod p, contracted exactly from the stored patterns
         for seed in (1, 5, 9):
             g = random_hypergraph(seed, 6, 3, density=0.4)
             if not g.edges:
                 continue
             A = hc.adjacency_auto(g)
+            p = A.kernel().prime
             res = closure_basis(A, (1, 2))
             extra = [
-                ttv_multi(A, [res.basis[:, i] for i in combo])
-                for combo in itertools.combinations_with_replacement(
-                    range(res.rank), 2
-                )
+                contract_mod_p(A, [res.basis[:, i] for i in combo], p)
+                for combo in itertools.combinations_with_replacement(range(res.rank), 2)
             ]
-            stacked = np.column_stack([res.basis] + extra) if extra else res.basis
-            assert np.linalg.matrix_rank(stacked, tol=1e-9) == res.rank
+            assert extra and not outside_span(res, np.array(extra).T, p).any()
 
     def test_idempotent_on_closed_basis(self):
         A = hc.adjacency_auto(hc.hyperchain(6, 3))
@@ -156,8 +164,8 @@ class TestReducedControllability:
         cold = closure_basis(A, (1, 2, 3))
         warm = closure_basis(A, (3,), closed=partial.basis)
         assert warm.rank == cold.rank
-        assert np.array_equal(warm.basis[:, : partial.rank], partial.basis)
-        # a start column already in the closed span opens no frontier round
+        assert not outside_span(warm, partial.basis, A.kernel().prime).any()
+        # a start column already in the closed span draws nothing
         inside = closure_basis(A, (1,), closed=partial.basis)
         assert inside.rank == partial.rank and inside.iterations == 0
 
@@ -195,14 +203,14 @@ class TestReducedControllability:
                 assert want == exact_closure_rank(hc.adjacency_auto(g), nodes)
 
 
-def float_and_exact_rank(n, k, density, seed, node):
+def closure_and_exact_rank(n, k, density, seed, node):
     A = hc.adjacency_auto(hc.random_uniform(n, k, density, seed))
     return closure_basis(A, (node,)).rank, exact_closure_rank(A, (node,))
 
 
 # (n, density, seed, control node) -> (exact rank, rank an eps-relative
 # cutoff on the whole basis gave) for k = 2, where rounding noise once let
-# the float closure overshoot
+# a floating-point closure overshoot
 FLOAT_RANK_TOO_HIGH = {
     (12, 0.15, 16, 3): (7, 10),
     (14, 0.15, 5, 2): (10, 13),
@@ -221,6 +229,9 @@ FLOAT_RANK_TOO_HIGH = {
 
 
 class TestExactOracle:
+    """Closure ranks against exact rational ones, on the grids where a
+    floating-point closure once went wrong."""
+
     def test_float_rank_matches_exact_rank_for_k3_and_k4(self):
         grid = [
             (n, k, density, seed, node)
@@ -232,7 +243,7 @@ class TestExactOracle:
         assert len(grid) == 540
         wrong = []
         for case in grid:
-            got, want = float_and_exact_rank(*case)
+            got, want = closure_and_exact_rank(*case)
             if got != want:
                 wrong.append((case, got, want))
         assert wrong == []
@@ -244,7 +255,7 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("n, density, seed, node", list(FLOAT_RANK_TOO_HIGH))
     def test_float_rank_matches_exact_rank_for_k2(self, n, density, seed, node):
-        got, want = float_and_exact_rank(n, 2, density, seed, node)
+        got, want = closure_and_exact_rank(n, 2, density, seed, node)
         assert got == want
 
 
@@ -279,9 +290,9 @@ class TestModularOracle:
 
 
 class TestRoundingFloor:
-    """A contracted column that is zero in exact arithmetic but carries
-    rounding noise (norm about 1e-15) must not be scaled up to a unit
-    direction: its residual would pass the cutoff and overshoot the rank."""
+    """Closures where a floating-point contraction once left rounding noise
+    (norm about 1e-15) in a column that is zero in exact arithmetic, and so
+    overshot the rank; over GF(p) such a column is an exact zero."""
 
     def test_cold_closure_drops_a_noise_column(self):
         A = hc.adjacency_auto(hc.random_uniform(8, 3, 0.1, 9))
@@ -297,8 +308,7 @@ class TestRoundingFloor:
 
     def test_floor_keeps_a_light_edge(self):
         # e5 enters only through the edge {3, 4, 5}; its column is genuine
-        # however light the edge, and the floor sits about 1e-14 below the
-        # tensor's scale, so weight 1e-12 keeps it
+        # however light the edge
         A = hc.adjacency_auto(hc.Hypergraph(5, ((1, 2, 3), (3, 4, 5)), weights=(1.0, 1e-12)))
         assert exact_closure_rank(A, (1, 2, 4)) == 5
         assert closure_basis(A, (1, 2, 4)).rank == 5
@@ -319,23 +329,29 @@ class TestRoundingFloor:
 
 
 class TestWeightSkew:
-    """Edge weights far apart lose a genuine direction in the float closure:
-    the rounding floor drops a column that comes from one edge about 1e-14
-    lighter than the rest, and the fixed n * 1e-10 cutoff on unit-scaled
-    residuals drops one under a 1e9 skew. Deciding the rank over GF(p)
-    would mend both."""
+    """Edge weights far apart once lost a genuine direction in a
+    floating-point closure: a rounding floor dropped the column of an edge
+    about 1e-14 lighter than the rest, and a fixed n * 1e-10 cutoff on
+    unit-scaled residuals dropped one under a 1e9 skew. Over GF(p) every
+    nonzero weight is a nonzero residue, so both keep the exact rank."""
 
-    @pytest.mark.xfail(raises=AssertionError, reason="float rank 4, exact rank 5")
     def test_floor_drops_an_edge_1e14_lighter(self):
         A = hc.adjacency_auto(hc.Hypergraph(5, ((1, 2, 3), (3, 4, 5)), weights=(1.0, 1e-14)))
         assert closure_basis(A, (1, 2, 4)).rank == exact_closure_rank(A, (1, 2, 4)) == 5
 
-    @pytest.mark.xfail(raises=AssertionError, reason="float rank 4, exact rank 12")
     def test_cutoff_drops_a_direction_under_1e9_weight_skew(self):
         g = hc.hyperchain(12, 3)
         weights = tuple(1e9 if i % 2 else 1.0 for i in range(len(g.edges)))
         A = hc.adjacency_auto(hc.Hypergraph(12, g.edges, weights=weights))
         assert closure_basis(A, (1, 2)).rank == exact_closure_rank(A, (1, 2)) == 12
+
+
+class TestTwins:
+    def test_twins_at_n_200_have_equal_ranks(self):
+        # nodes 5 and 30 are twins; a floating-point closure gave 166 and 169
+        A = hc.adjacency_auto(hc.random_uniform(200, 2, 0.01, 4))
+        ranks = [closure_basis(A, (j,)).rank for j in (5, 30)]
+        assert ranks == [modular_closure_rank(A, (5,))] * 2 == [165, 165]
 
 
 class TestVerdict:
@@ -355,42 +371,3 @@ class TestVerdict:
         A = hc.adjacency_auto(hc.hyperchain(5, 3))
         v = hc.verdict(A, hc.ControlMatrix(()))
         assert not v.full and v.rank == 0
-
-
-class TestLemma1:
-    def test_orthonormal_input_trivially_true(self):
-        A = hc.adjacency_auto(hc.hyperchain(5, 3))
-        X = np.eye(5)[:, :3]
-        assert lemma1_check(A, X)
-
-    def test_zero_matrix(self):
-        A = hc.adjacency_auto(hc.hyperchain(5, 3))
-        assert lemma1_check(A, np.zeros((5, 3)))
-
-    def test_rank_deficient_random(self):
-        # low-rank X: singular-vector replacement must preserve the span
-        left = np.array([seeded_floats(3, 5), seeded_floats(4, 5)]).T
-        right = np.array([seeded_floats(5, 4), seeded_floats(6, 4)])
-        X = left @ right
-        g = random_hypergraph(11, 5, 3, density=0.6)
-        A = hc.adjacency_auto(g)
-        assert lemma1_check(A, X)
-        # independent confirmation through the dense full-tuple products
-        dense_p = np.column_stack(
-            [
-                dense_ttv(A, [X[:, i], X[:, j]])
-                for i, j in itertools.product(range(4), repeat=2)
-            ]
-        )
-        u, s, _ = np.linalg.svd(X, full_matrices=False)
-        U = u[:, s > 1e-10]
-        dense_q = np.column_stack(
-            [
-                dense_ttv(A, [U[:, i], U[:, j]])
-                for i, j in itertools.product(range(U.shape[1]), repeat=2)
-            ]
-        )
-        rp = np.linalg.matrix_rank(dense_p, tol=1e-9)
-        rq = np.linalg.matrix_rank(dense_q, tol=1e-9)
-        rboth = np.linalg.matrix_rank(np.hstack([dense_p, dense_q]), tol=1e-9)
-        assert rp == rq == rboth

@@ -9,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperctrl as hc
-from hyperctrl import tensor as tensor_mod
-from hyperctrl.tensor import _apply_multisets
+from hyperctrl.controllability import closure_basis
+from hyperctrl.tensor import _apply_polar
 
 from helpers import (
+    contract_mod_p,
     dense_tensor,
     dense_ttv,
     entry,
+    exact_closure_rank,
     random_hypergraph,
     random_mixed_hypergraph,
     seeded_floats,
+    seeded_ints,
     ttv_multi,
 )
 
@@ -101,62 +104,70 @@ class TestTtv:
                 dense_ttv(A, vs), abs=1e-13
             )
 
-    def test_chunked_contraction_is_bit_identical(self, monkeypatch):
-        g = hc.Hypergraph(5, ((1, 2), (2, 3, 4), (1, 3, 4, 5)))
+
+def seeded_residues(seed, n, p):
+    return np.array(seeded_ints(seed, n, p), dtype=np.int64)
+
+
+class TestPolarKernel:
+    """The kernel's residues and its contraction T(x, ..., x) mod p."""
+
+    def assert_matches_exact(self, A, seed):
+        p = A.kernel().prime
+        xs = np.column_stack([seeded_residues(seed + c, A.dim, p) for c in range(2)])
+        got = _apply_polar(A, xs)
+        for c in range(2):
+            want = contract_mod_p(A, [xs[:, c]] * (A.order - 1), p)
+            assert got[:, c].tolist() == want
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_exact_contraction(self, k):
+        for seed in range(6):
+            g = random_hypergraph(seed, k + 2, k, density=0.5)
+            if not g.edges:
+                continue
+            weights = tuple(seeded_floats(seed, len(g.edges), lo=0.1, hi=3.0))
+            for graph in (g, hc.Hypergraph(g.n, g.edges, weights=weights)):
+                self.assert_matches_exact(hc.adjacency_auto(graph), 100 * seed)
+
+    def test_mixed_cardinality_matches_exact_contraction(self):
+        for seed in range(4):
+            A = hc.adjacency_auto(random_mixed_hypergraph(seed, 6, 4))
+            assert A.order > 2
+            self.assert_matches_exact(A, 100 * seed)
+
+    def test_empty_tensor_contracts_to_zero(self):
+        A = hc.AdjacencyTensor(order=3, dim=4, entries={})
+        x = np.ones((4, 2), dtype=np.int64)
+        assert not _apply_polar(A, x).any()
+
+    def test_numerator_divisible_by_the_prime_takes_the_next_prime(self):
+        # the light edge of a weight-skew case, with coefficient 1048573 / 2:
+        # mod 1048573 it would vanish and the rank drop to 4
+        edges = ((1, 2, 3), (3, 4, 5))
+        plain = hc.adjacency_auto(hc.Hypergraph(5, edges))
+        A = hc.adjacency_auto(hc.Hypergraph(5, edges, weights=(1.0, 1048573.0)))
+        assert plain.kernel().prime == 1048573
+        assert A.kernel().prime == 1048571
+        assert closure_basis(A, (1, 2, 4)).rank == exact_closure_rank(A, (1, 2, 4)) == 5
+
+    def test_zero_coefficient_is_an_exact_zero(self):
+        g = random_hypergraph(3, 7, 3, density=0.3)
         A = hc.adjacency_auto(g)
-        basis = np.column_stack([seeded_floats(i, 5) for i in range(4)])
-        ms = np.array(
-            list(itertools.combinations_with_replacement(range(4), A.order - 1)),
-            dtype=np.intp,
-        ).T
-        whole = _apply_multisets(A, basis, ms)
-        # a few columns per chunk, with a ragged last chunk
-        rows = A.kernel().coefs.size
-        monkeypatch.setattr(tensor_mod, "_CHUNK_ENTRIES", 3 * rows)
-        assert ms.shape[1] % 3 != 0
-        chunked = _apply_multisets(A, basis, ms)
-        assert np.array_equal(chunked, whole)
-        # a cap below one kernel's rows still makes progress, one column at a time
-        monkeypatch.setattr(tensor_mod, "_CHUNK_ENTRIES", 1)
-        assert np.array_equal(_apply_multisets(A, basis, ms), whole)
-
-    def test_cols_variant_matches_vector_calls(self):
-        g = random_hypergraph(3, 5, 3, density=0.6)
-        A = hc.adjacency_auto(g)
-        basis = np.column_stack([seeded_floats(i, 5) for i in range(4)])
-        ms = np.array([[0, 1, 2, 3, 1], [1, 1, 3, 0, 2]], dtype=np.intp)
-        batch = _apply_multisets(A, basis, ms)
-        for c in range(ms.shape[1]):
-            args = [basis[:, ms[0, c]], basis[:, ms[1, c]]]
-            assert batch[:, c] == pytest.approx(ttv_multi(A, args), abs=1e-14)
-
-    def test_kernel_scale_is_the_norm_of_the_row_sums_of_abs_coefs(self):
-        # the rounding floor of the closure rests on this bound
-        weighted = random_mixed_hypergraph(4, 6, 4)
-        weighted = hc.Hypergraph(
-            6, weighted.edges, weights=tuple(seeded_floats(4, len(weighted.edges), 0.1, 5.0))
+        absent = next(
+            p for p in itertools.combinations_with_replacement(range(1, 8), 3)
+            if p not in A.entries
         )
-        for g in (random_hypergraph(2, 6, 3, density=0.5), hc.hyperstar(6, 2), weighted):
-            A = hc.adjacency_auto(g)
-            dense = np.abs(dense_tensor(A)).reshape(A.dim, -1)
-            assert A.kernel().scale == pytest.approx(
-                np.linalg.norm(dense.sum(axis=1)), rel=1e-13
-            )
-        # signed entries: the sums are of |coef|, so terms never cancel
-        signed = hc.AdjacencyTensor(
-            order=3, dim=3, entries={(1, 1, 2): 1.0, (1, 2, 2): -1.0, (2, 2, 3): -2.0}
-        )
-        dense = np.abs(dense_tensor(signed)).reshape(3, -1)
-        assert signed.kernel().scale == pytest.approx(np.linalg.norm(dense.sum(axis=1)), rel=1e-13)
-        assert hc.AdjacencyTensor(order=3, dim=4, entries={}).kernel().scale == 0.0
+        with_zero = hc.AdjacencyTensor(3, 7, {**A.entries, absent: 0.0})
+        assert with_zero.kernel().coefs.size > A.kernel().coefs.size
+        for nodes in ((1,), (2,), (1, 5), (3, 6)):
+            assert closure_basis(with_zero, nodes).rank == closure_basis(A, nodes).rank
 
-    @pytest.mark.parametrize("c", [1e-300, 1e300])
-    def test_kernel_scale_stays_in_range(self, c):
-        # the squares of the row sums leave the double range at these weights
-        g = hc.hyperchain(12, 3)
-        unit = hc.adjacency_auto(g).kernel().scale
-        A = hc.adjacency_auto(hc.Hypergraph(12, g.edges, weights=(c,) * len(g.edges)))
-        assert A.kernel().scale == pytest.approx(c * unit, rel=1e-13)
+    def test_closure_repeats(self):
+        A = hc.adjacency_auto(hc.random_uniform(12, 3, 0.1, 4))
+        first, again = closure_basis(A, (1, 2)), closure_basis(A, (1, 2))
+        assert np.array_equal(first.basis, again.basis)
+        assert first.iterations == again.iterations > 0
 
 
 @st.composite
