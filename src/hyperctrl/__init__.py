@@ -11,7 +11,6 @@ from .hypergraph import (
     Hypergraph,
     adjacency_auto,
     complete,
-    degrees,
     hyperchain,
     hyperring,
     hyperstar,
@@ -33,6 +32,6 @@ from .mcn import (
     mcn_greedy,
     mcn_predicted,
 )
-from .tensor import AdjacencyTensor, ControlMatrix
+from .tensor import AdjacencyTensor, ControlMatrix, degrees
 
 __version__ = "0.1.0"

@@ -21,8 +21,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .tensor import AdjacencyTensor
 
 _MASK64 = (1 << 64) - 1
@@ -127,26 +125,6 @@ def adjacency_auto(graph: Hypergraph) -> AdjacencyTensor:
         for spell in spellings:
             entries[spell(edge)] = coef
     return AdjacencyTensor(order=k, dim=graph.n, entries=entries)
-
-
-def degrees(tensor: AdjacencyTensor) -> np.ndarray:
-    """Node degrees recovered from the tensor by summing over trailing modes.
-
-    Evaluated sparsely per stored pattern; for unweighted hypergraph tensors
-    the result is the per-node edge membership count.
-    """
-    out = np.zeros(tensor.dim)
-    for pattern, coef in tensor.entries.items():
-        counts: dict = {}
-        for j in pattern:
-            counts[j] = counts.get(j, 0) + 1
-        arrangements = math.factorial(len(pattern) - 1)
-        for j, mult in counts.items():
-            rest_perms = arrangements
-            for node, m in counts.items():
-                rest_perms //= math.factorial(m - 1 if node == j else m)
-            out[j - 1] += coef * rest_perms
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .controllability import closure_basis
-from .hypergraph import _tiles, degrees
-from .tensor import AdjacencyTensor
+from .hypergraph import _tiles
+from .tensor import AdjacencyTensor, degrees
 
 
 class ExactSearchGuardError(ValueError):

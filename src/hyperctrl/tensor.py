@@ -6,8 +6,9 @@ pattern carries that per-tuple coefficient, and every other entry is zero.
 Supersymmetry therefore holds by construction.
 
 Ranks are decided over GF(p), so the kernel stores one row per (pattern,
-pivot, arrangement of the rest) with the coefficient's residue: a double
-num / 2^e maps exactly to num * (2^e)^-1 mod p. The prime starts at
+node), weighted by the arrangement count: the coefficient's residue times
+the number of distinct orders of the rest, which all give one product. A
+double num / 2^e maps exactly to num * (2^e)^-1 mod p. The prime starts at
 2^20 - 3 and steps down to the next prime while a nonzero coefficient's
 numerator is a multiple of it, so no stored weight turns into a zero.
 ``_apply_polar`` gives T(x, ..., x) mod p, in int64 with a reduction after
@@ -15,8 +16,8 @@ each slot, so no product exceeds 2^40.
 """
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +29,13 @@ _PRIME = 1048573
 
 @dataclass
 class _Kernel:
-    """Precomputed arrangement tables for the contraction kernel.
+    """Precomputed row tables for the contraction kernel.
 
-    One row per (pattern, pivot, arrangement), sorted by output index:
-    ``slots[l]`` holds the node feeding slot l and ``coefs`` the per-tuple
-    coefficient's residue mod ``prime``. The rows sharing an output index
-    form one segment; ``starts`` gives each segment's first row and
-    ``targets`` its output index.
+    One row per (pattern, node), weighted by the arrangement count, sorted by
+    output index: ``slots[l]`` holds the node feeding slot l and ``coefs``
+    the per-tuple coefficient's residue times the count, mod ``prime``. The
+    rows sharing an output index form one segment; ``starts`` gives each
+    segment's first row and ``targets`` its output index.
     """
 
     starts: np.ndarray   # (S,) first kernel row of each segment
@@ -95,6 +96,28 @@ class AdjacencyTensor:
         return self._kernel
 
 
+def _arrangements(pattern):
+    """(pivot, rest, count) per distinct node of a sorted pattern, pivots
+    ascending: ``rest`` is the pattern less one pivot, still sorted, and
+    ``count`` its number of distinct orders, (k-1)! m_pivot / prod m_v!."""
+    mult = Counter(pattern)
+    fact = math.factorial(len(pattern) - 1)
+    denom = math.prod(map(math.factorial, mult.values()))
+    for pivot, m in mult.items():
+        i = pattern.index(pivot)
+        yield pivot, pattern[:i] + pattern[i + 1:], fact * m // denom
+
+
+def degrees(tensor: AdjacencyTensor) -> np.ndarray:
+    """Node degrees: the tensor summed over its trailing modes, per stored
+    pattern; for an unweighted hypergraph, each node's edge membership count."""
+    out = np.zeros(tensor.dim)
+    for pattern, coef in tensor.entries.items():
+        for pivot, _, count in _arrangements(pattern):
+            out[pivot - 1] += coef * count
+    return out
+
+
 def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
     k = tensor.order
     ratios = {value: value.as_integer_ratio() for value in map(float, tensor.entries.values())}
@@ -107,16 +130,13 @@ def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
     rows: list[int] = []
     coefs: list[int] = []
     slot_idx: list[list[int]] = [[] for _ in range(k - 1)]
-    for pattern in sorted(tensor.entries):
-        coef = residue[float(tensor.entries[pattern])]
-        for pivot in sorted(set(pattern)):
-            rest = list(pattern)
-            rest.remove(pivot)
-            for sigma in sorted(set(itertools.permutations(rest))):
-                rows.append(pivot - 1)
-                coefs.append(coef)
-                for slot, node in enumerate(sigma):
-                    slot_idx[slot].append(node - 1)
+    for pattern, value in tensor.entries.items():
+        coef = residue[float(value)]
+        for pivot, rest, count in _arrangements(pattern):
+            rows.append(pivot - 1)
+            coefs.append(coef * count % p)
+            for slot, node in enumerate(rest):
+                slot_idx[slot].append(node - 1)
     row_arr = np.asarray(rows, dtype=np.intp)
     order = np.argsort(row_arr, kind="stable")
     sorted_rows = row_arr[order]

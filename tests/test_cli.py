@@ -13,7 +13,7 @@ import pytest
 
 from hyperctrl import cli, hypergraph as hg
 from hyperctrl.ingest import build_hypergraph, load_time_series_csv
-from hyperctrl.mcn import mcn_exact
+from hyperctrl.mcn import mcn_exact, mcn_predicted
 
 from helpers import modular_closure_rank
 
@@ -339,8 +339,8 @@ class TestJsonOutput:
 
 
 class TestTolerance:
-    # the rank cutoff is fixed at n * 1e-10: no subcommand takes --tol, so
-    # argparse refuses it whatever the value; greedy has one tie rule, so
+    # ranks are exact over GF(p), with no cutoff: no subcommand takes --tol,
+    # so argparse refuses it whatever the value; greedy has one tie rule, so
     # mcn takes no --tie-break or --seed either; no flag is taken by a prefix
     @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1", "2", "1e300"])
     @pytest.mark.parametrize(
@@ -525,3 +525,18 @@ class TestLargeGreedyWitness:
         witness = json.loads(capsys.readouterr().out)["witness"]
         tensor = hg.adjacency_auto(hg.from_json_dict(json.loads(path.read_text())))
         assert modular_closure_rank(tensor, witness) == 200
+
+
+class TestSingleLargeEdge:
+    # one kernel row per (pattern, node) keeps a 12-node edge at 12 rows;
+    # a row per order of each rest would take 12 * 11! and run for minutes
+    def test_twelve_node_edge(self, tmp_path, capsys):
+        path = write_graph(tmp_path, {"n": 12, "edges": [list(range(1, 13))]})
+        controls = ",".join(map(str, range(1, 12)))
+        code, out, _ = run(["check", path, "--controls", controls], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["rank"], doc["full"], doc["kind"]) == (12, True, "strong-controllability")
+        code, out, _ = run(["mcn", path, "--method", "exact"], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == mcn_predicted("complete", 12, 12) == 11

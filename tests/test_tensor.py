@@ -131,10 +131,28 @@ class TestPolarKernel:
                 self.assert_matches_exact(hc.adjacency_auto(graph), 100 * seed)
 
     def test_mixed_cardinality_matches_exact_contraction(self):
-        for seed in range(4):
-            A = hc.adjacency_auto(random_mixed_hypergraph(seed, 6, 4))
-            assert A.order > 2
-            self.assert_matches_exact(A, 100 * seed)
+        # at k = 5 and 6 the smaller edges fill patterns whose rest repeats a
+        # node, so a row's arrangement count lies strictly between 1 and (k-1)!
+        for max_card in (4, 5, 6):
+            for seed in range(4):
+                g = random_mixed_hypergraph(seed, 6, max_card)
+                weights = tuple(seeded_floats(seed, len(g.edges), lo=0.1, hi=3.0))
+                for graph in (g, hc.Hypergraph(g.n, g.edges, weights=weights)):
+                    A = hc.adjacency_auto(graph)
+                    assert A.order > 2
+                    self.assert_matches_exact(A, 100 * seed)
+
+    def test_one_row_per_pattern_and_node(self):
+        # one row stands for every order of its pattern's rest: a single
+        # 8-node edge has 8 rows, not 8 * 7! = 40320
+        tensors = [
+            hc.adjacency_auto(random_mixed_hypergraph(seed, 7, max_card))
+            for max_card in (4, 5, 6)
+            for seed in range(3)
+        ]
+        tensors.append(single_edge_tensor(8, range(1, 9)))
+        for A in tensors:
+            assert A.kernel().coefs.size == sum(len(set(p)) for p in A.entries)
 
     def test_empty_tensor_contracts_to_zero(self):
         A = hc.AdjacencyTensor(order=3, dim=4, entries={})
