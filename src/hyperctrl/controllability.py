@@ -60,35 +60,6 @@ class ControllabilityVerdict:
     kind: VerdictKind
 
 
-def _add_columns(free_part, pivots, free, ys, p):
-    """Add the vectors ``ys``, given on the ``free`` rows and 0 on the pivot
-    rows, to a reduced echelon basis kept as its ``free_part`` and its
-    ``pivots``; return the three of the grown basis."""
-    new = ys[:, :0]
-    rows: list[int] = []
-    for y in ys.T:
-        if rows:
-            y = (y - new @ y[rows]) % p
-        nonzero = np.flatnonzero(y)
-        if not nonzero.size:
-            continue
-        t = int(nonzero[0])
-        y = y * pow(int(y[t]), -1, p) % p
-        if rows:
-            new = np.concatenate(((new - np.outer(y, new[t])) % p, y[:, None]), axis=1)
-        else:
-            new = y[:, None]
-        rows.append(t)
-    if not rows:
-        return free_part, pivots, free
-    keep = np.ones(len(free), dtype=bool)
-    keep[rows] = False
-    # each old column loses its entries on the new pivot rows
-    old = (free_part[keep] - new[keep] @ free_part[rows]) % p
-    grown = np.concatenate((old, new[keep]), axis=1)
-    return grown, np.concatenate((pivots, free[rows])), free[keep]
-
-
 def closure_basis(
     tensor: AdjacencyTensor, nodes, *, closed: np.ndarray | None = None
 ) -> ReducedControllabilityMatrix:
@@ -110,45 +81,32 @@ def closure_basis(
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValueError(f"closed matrix has shape {basis.shape}, expected ({n}, m)")
     p = tensor.kernel().prime
-    # The basis is kept on its free rows only: column i is 1 on row
-    # pivots[i] and 0 on the other pivot rows, so the work per added vector
-    # is rank x (n - rank), not rank x n.
-    pivots = (basis != 0).argmax(axis=0)
-    rank = len(pivots)
-    # e_j adds itself when j is a free row: row j turns into a pivot row, on
-    # which every other column is 0. When j is the pivot of column i, e_j
-    # adds e_j less that column, which is 0 on every pivot row.
-    column_of = dict(zip(pivots.tolist(), range(rank)))
-    starts = {j - 1 for j in nodes}
-    units = sorted(starts.difference(column_of))
-    is_free = np.ones(n, dtype=bool)
-    is_free[pivots] = False
-    is_free[units] = False
-    free = np.flatnonzero(is_free)
-    free_part = np.concatenate((basis[free], np.zeros((len(free), len(units)), np.int64)), axis=1)
-    pivots = np.concatenate((pivots, units)).astype(np.intp)
-    covered = sorted(column_of[j] for j in starts.intersection(column_of))
-    if covered:
-        free_part, pivots, free = _add_columns(free_part, pivots, free, -free_part[:, covered] % p, p)
-    if len(pivots) == rank:
-        return ReducedControllabilityMatrix(basis=basis, rank=rank, iterations=0)
+    pivots = (basis != 0).argmax(axis=0).tolist()
+    starts = sorted({j - 1 for j in nodes})
+    ys = np.zeros((n, len(starts)), dtype=np.int64)
+    ys[starts, range(len(starts))] = 1
     batches = 0
     draws = random.Random(_SEED)
-    x = np.empty((n, 2), dtype=np.int64)
-    while len(free):
+    while True:
+        rank = len(pivots)
+        for y in ys.T:
+            y = (y - basis @ y[pivots]) % p
+            nonzero = y.nonzero()[0]
+            if nonzero.size:
+                t = int(nonzero[0])
+                y = y * pow(int(y[t]), -1, p) % p
+                # y is 0 on every pivot row, and row t turns into one: clear
+                # it from the old columns, which change only where y is not 0
+                row = basis[t]
+                basis = np.concatenate((basis, y[:, None]), axis=1)
+                if row.any():
+                    basis[nonzero, :-1] = (basis[nonzero, :-1] - np.outer(y[nonzero], row)) % p
+                pivots.append(t)
+        if len(pivots) in (rank, n):
+            break
         batches += 1
         g = np.frombuffer(draws.randbytes(8 * len(pivots)), dtype="<u4").reshape(-1, 2) % p
-        x[pivots] = g
-        x[free] = free_part @ g % p
-        ys = _apply_polar(tensor, x)
-        ys = (ys[free] - free_part @ ys[pivots]) % p
-        size = len(pivots)
-        free_part, pivots, free = _add_columns(free_part, pivots, free, ys, p)
-        if len(pivots) == size:
-            break
-    basis = np.zeros((n, len(pivots)), dtype=np.int64)
-    basis[free] = free_part
-    basis[pivots, range(len(pivots))] = 1
+        ys = _apply_polar(tensor, basis @ g % p)
     return ReducedControllabilityMatrix(basis=basis, rank=len(pivots), iterations=batches)
 
 

@@ -133,9 +133,13 @@ def load_time_series_csv(path, has_header: bool = False) -> TimeSeriesMatrix:
                 f"{path}: line {lineno}: {len(row)} fields, expected {width}"
             )
         try:
-            data.append([float(cell) for cell in row])
+            values = [float(cell) for cell in row]
+            for cell, value in zip(row, values):
+                if not math.isfinite(value):
+                    raise ValueError(f"signals must be finite, got {cell.strip()!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        data.append(values)
     try:
         return TimeSeriesMatrix.from_rows(data, labels=labels)
     except ValueError as exc:

@@ -133,9 +133,28 @@ class TestExitCodes:
             ("s.csv", b"1,2\n3," + b"4" * 131_073 + b"\n", ["ingest", "FILE"],
              "line 2: field larger than field limit"),
             ("s.csv", b"1,2\n3,\xe9\n", ["ingest", "FILE"], "not UTF-8 text"),
+            ("s.csv", b"1,2,3\n4,nan,6\n", ["ingest", "FILE"],
+             "line 2: signals must be finite, got 'nan'"),
+            ("s.csv", b"1,2,3\n4,5, inf\n", ["ingest", "FILE"],
+             "line 2: signals must be finite, got 'inf'"),
+            # overflows to inf as it is parsed
+            ("s.csv", b"1e400,2,3\n4,5,6\n", ["ingest", "FILE"],
+             "line 1: signals must be finite, got '1e400'"),
+            ("s.csv", b"", ["ingest", "FILE"], "empty file"),
+            ("s.csv", b"a,b,c\n", ["ingest", "FILE", "--has-header"],
+             "header but no data rows"),
+            ("s.csv", b"a,b,c\n1,2,3\n4,5,6\n", ["ingest", "FILE", "--has-header"],
+             "header lists 3 labels but the file has 2 channel rows"),
+            ("s.csv", b"1,2,3\n4,5\n", ["ingest", "FILE"], "line 2: 2 fields, expected 3"),
+            ("s.csv", b"1\n2\n", ["ingest", "FILE"], "need at least 2 samples, got 1"),
+            ("g.json", b"[1, 2]", ["mcn", "FILE"], "hypergraph document must be a JSON object"),
+            ("g.json", b'{"n": 0, "edges": []}', ["check", "FILE"],
+             "node count must be >= 1, got 0"),
         ],
         ids=["mcn-byte-ff", "check-byte-ff", "deep-nesting", "long-csv-field",
-             "latin-1-csv"],
+             "latin-1-csv", "nan-csv-cell", "inf-csv-cell", "overflowing-csv-cell",
+             "empty-csv", "header-only-csv", "header-label-count", "ragged-csv-row",
+             "one-sample-csv", "json-array", "no-nodes"],
     )
     def test_unreadable_file_names_it(self, tmp_path, capsys, name, data, argv, detail):
         path = tmp_path / name
@@ -393,17 +412,20 @@ class TestGenerate:
         assert all(e == sorted(e) for e in doc["edges"])
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, detail",
         [
             (["--family", "r-chain", "--n", "10", "--k", "4"], "--r"),
             (["--family", "random", "--n", "6", "--k", "3", "--seed", "1"], "--density"),
             (["--family", "random", "--n", "6", "--k", "3", "--density", "0.5"], "--seed"),
+            # an overlap outside (0, k) is refused like a missing one
+            (["--family", "r-chain", "--n", "7", "--k", "3", "--r", "0"], "need 0 < r < k, got r=0"),
+            (["--family", "r-chain", "--n", "7", "--k", "3", "--r", "3"], "need 0 < r < k, got r=3"),
         ],
     )
-    def test_missing_family_parameter(self, capsys, argv, flag):
+    def test_missing_family_parameter(self, capsys, argv, detail):
         code, out, err = run(["generate", *argv], capsys)
         assert code == 2 and out == ""
-        assert flag in err
+        assert detail in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -435,6 +457,16 @@ class TestGenerate:
 
 
 class TestBench:
+    @pytest.mark.parametrize(
+        "text, detail", [("5:4", "empty range '5:4'"), ("5", "expected lo:hi, got '5'")]
+    )
+    def test_bad_n_range_is_usage_error(self, capsys, text, detail):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["bench", "--family", "complete", "--k", "2", "--n-range", text])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        assert f"argument --n-range: {detail}" in err
+
     def test_csv_header_and_row(self, capsys):
         code, out, err = run(
             ["bench", "--family", "complete", "--k", "3", "--n-range", "4:4"], capsys

@@ -169,6 +169,12 @@ class TestReducedControllability:
         inside = closure_basis(A, (1,), closed=partial.basis)
         assert inside.rank == partial.rank and inside.iterations == 0
 
+    @pytest.mark.parametrize("shape", [(4, 2), (5,), (5, 2, 1)])
+    def test_closed_of_the_wrong_shape_is_refused(self, shape):
+        A = hc.adjacency_auto(hc.hyperchain(5, 3))
+        with pytest.raises(ValueError, match=r"expected \(5, m\)"):
+            closure_basis(A, (1,), closed=np.zeros(shape, dtype=np.int64))
+
     @pytest.mark.parametrize(
         "c", [1e-300, 1e-200, 1e-30, 1e-16, 1.0, 1e16, 1e30, 1e200, 1e300]
     )

@@ -473,7 +473,7 @@ class TestGreedy:
         b = hc.mcn_greedy(A)
         assert a.witness == b.witness
 
-    def test_tie_break_modes(self):
+    def test_gain_ties_go_to_highest_degree(self):
         res = hc.mcn_greedy(auto(hc.hyperchain(8, 4)))
         assert res.value == 3
         # ties go to the highest degree: the interior, not node 1

@@ -161,13 +161,16 @@ class TestPolarKernel:
 
     def test_numerator_divisible_by_the_prime_takes_the_next_prime(self):
         # the light edge of a weight-skew case, with coefficient 1048573 / 2:
-        # mod 1048573 it would vanish and the rank drop to 4
+        # mod 1048573 it would vanish and the rank drop to 4. A weight of
+        # 1048573 * 1048571 (exact as a double) rules out the next prime too,
+        # and the step passes the composites 1048569 ... 1048561.
         edges = ((1, 2, 3), (3, 4, 5))
         plain = hc.adjacency_auto(hc.Hypergraph(5, edges))
-        A = hc.adjacency_auto(hc.Hypergraph(5, edges, weights=(1.0, 1048573.0)))
         assert plain.kernel().prime == 1048573
-        assert A.kernel().prime == 1048571
-        assert closure_basis(A, (1, 2, 4)).rank == exact_closure_rank(A, (1, 2, 4)) == 5
+        for weight, prime in ((1048573.0, 1048571), (1048573.0 * 1048571, 1048559)):
+            A = hc.adjacency_auto(hc.Hypergraph(5, edges, weights=(1.0, weight)))
+            assert A.kernel().prime == prime
+            assert closure_basis(A, (1, 2, 4)).rank == exact_closure_rank(A, (1, 2, 4)) == 5
 
     def test_zero_coefficient_is_an_exact_zero(self):
         g = random_hypergraph(3, 7, 3, density=0.3)
