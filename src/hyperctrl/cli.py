@@ -84,14 +84,9 @@ def cmd_generate(args) -> int:
     elif family == "complete":
         graph = hg.complete(args.n, args.k)
     else:
-        r = args.r
-        if family.startswith("r-"):
-            if r is None:
-                raise ValueError(f"--r is required for family {family}")
-        else:
-            # a plain family reports k < 2 as such, not as an r out of range
-            hg._check_nk(args.n, args.k)
-            r = args.k - 1
+        r = args.r if family.startswith("r-") else args.k - 1
+        if r is None:
+            raise ValueError(f"--r is required for family {family}")
         graph = hg.overlap_variant(args.n, args.k, r, family.removeprefix("r-"))
     _emit_json(hg.to_json_dict(graph))
     return 0

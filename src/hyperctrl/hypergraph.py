@@ -145,8 +145,10 @@ MAX_TUPLES = 10**7
 # at density 1), and those tuples may take at most this many bytes. Peak RSS
 # per k-subset, measured for k = 2..6 at about 10^6 subsets with CPython
 # 3.11 on x86-64, was 186-263 bytes for ``complete`` and 194-271 for
-# ``random_uniform``; ``_tuple_bytes`` bounds both. Ingest keeps only the
-# tuples above its threshold and is held to ``MAX_TUPLES`` alone.
+# ``random_uniform``; ``_tuple_bytes`` bounds both. ``overlap_variant`` makes
+# new node ints per edge, 226-467 bytes at k = 2..6 (564 at k = 8) for 0.6 to
+# 1.4 million edges, and is held to 224 + 48 k. Ingest keeps only the tuples
+# above its threshold and is held to ``MAX_TUPLES`` alone.
 MAX_GENERATED_BYTES = 1 << 28
 
 
@@ -168,19 +170,16 @@ def _check_tuple_count(n: int, k: int, advice: str, kept: bool = False):
 
 def hyperchain(n: int, k: int) -> Hypergraph:
     """Chain of n nodes where every k consecutive nodes form an edge."""
-    _check_nk(n, k)
     return overlap_variant(n, k, k - 1, "chain")
 
 
 def hyperring(n: int, k: int) -> Hypergraph:
     """Cyclic chain; coinciding windows (n = k) collapse to a single edge."""
-    _check_nk(n, k)
     return overlap_variant(n, k, k - 1, "ring")
 
 
 def hyperstar(n: int, k: int) -> Hypergraph:
     """k-1 internal nodes shared by all edges, one leaf per edge."""
-    _check_nk(n, k)
     return overlap_variant(n, k, k - 1, "star")
 
 
@@ -206,16 +205,18 @@ def _tiles(n: int, k: int, r: int, family: str) -> bool:
 def overlap_variant(n: int, k: int, r: int, family: str) -> Hypergraph:
     """Chain/ring/star where consecutive edges share exactly r nodes.
 
-    Edges advance by k-r nodes, so the node count must tile (see ``_tiles``).
-    r = k-1 is the plain family: a chain of all k-windows, a ring of all
-    cyclic k-windows, a star of k-1 core nodes with one leaf per edge.
+    Edges advance by k-r nodes, so the node count must tile (see ``_tiles``),
+    and the edges must fit ``MAX_GENERATED_BYTES``. r = k-1 is the plain
+    family: a chain of all k-windows, a ring of all cyclic k-windows, a star
+    of k-1 core nodes with one leaf per edge.
     """
+    _check_nk(n, k)
     if not 0 < r < k:
         raise ValueError(f"need 0 < r < k, got r={r}, k={k}")
-    _check_nk(n, k)
-    if family not in ("chain", "ring", "star"):
-        raise ValueError(f"unknown family {family!r}")
     stride = k - r
+    edge_count = {"chain": (n - k) // stride + 1, "ring": n // stride, "star": (n - r) // stride}
+    if family not in edge_count:
+        raise ValueError(f"unknown family {family!r}")
     if not _tiles(n, k, r, family):
         if family == "ring":
             need, first = f"n divisible by {stride} with at least 3 edges", 3 * stride
@@ -225,6 +226,12 @@ def overlap_variant(n: int, k: int, r: int, family: str) -> Hypergraph:
         raise ValueError(
             f"no {r}-overlap {family} on n={n} nodes with k={k}: need {need}; "
             f"feasible n: {examples}, ..."
+        )
+    size = 224 + 48 * k  # bytes per edge, see MAX_GENERATED_BYTES
+    if edge_count[family] > MAX_GENERATED_BYTES // size:
+        raise ValueError(
+            f"{edge_count[family]} edges exceeds the {MAX_GENERATED_BYTES // size} guard "
+            f"({MAX_GENERATED_BYTES} bytes at {size} per edge); use fewer nodes"
         )
     if family == "chain":
         edges = [tuple(range(start, start + k)) for start in range(1, n - k + 2, stride)]

@@ -101,6 +101,11 @@ def _twin_classes(tensor: AdjacencyTensor) -> list[tuple]:
     return [tuple(members) for members in classes]
 
 
+def _lower_twins(classes: list[tuple]) -> dict:
+    """Each node's next lower member of its class in ``classes``, if any."""
+    return {hi: lo for members in classes for lo, hi in zip(members, members[1:])}
+
+
 # Caps on the automorphism search of ``mcn_exact``: the elements kept and
 # the candidate images tried. Past either, the search stops and the prune
 # uses the elements found so far, which is sound for any subset of them.
@@ -316,11 +321,7 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
             "raise the guard explicitly or use mcn_greedy"
         )
     classes = _twin_classes(tensor)
-    # the next lower member of each node's twin class, 0 for none
-    lower_twin = [0] * (n + 1)
-    for members in classes:
-        for lo, hi in zip(members, members[1:]):
-            lower_twin[hi] = lo
+    lower_twin = _lower_twins(classes)
     group = _automorphisms(tensor, classes)
     group = group[(group != np.arange(1, n + 1)).any(axis=1)]
     rows = np.arange(len(group))
@@ -348,7 +349,7 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
         for j in range((prefix[-1] if prefix else 0) + 1, n + 1):
             if size > limit:
                 return
-            if lower_twin[j] and lower_twin[j] not in prefix:
+            if j in lower_twin and lower_twin[j] not in prefix:
                 counts["twins"] += 1
                 continue
             child = prefix + (j,)
@@ -394,10 +395,10 @@ def mcn_greedy(tensor: AdjacencyTensor) -> MCNResult:
     A step evaluates the candidates in tie-break order and keeps the first
     one of the largest gain, so two prunes keep every pick:
 
-    - of each twin class (see ``_twin_classes``), only the unchosen member
-      that comes first in tie-break order is evaluated: swapping it with a
-      later twin fixes the chosen set and maps one closure onto the other,
-      so the later twin has the same gain and loses the tie;
+    - as in ``mcn_exact``, a candidate whose next lower twin is unchosen is
+      skipped: its lowest unchosen twin comes first (twins have equal
+      degrees), and swapping the two fixes the chosen set and maps one
+      closure onto the other, so it has the same gain and loses the tie;
     - the step ends at the first candidate whose closure reaches rank n: no
       later candidate has a larger gain, and an equal one loses the tie.
 
@@ -406,40 +407,35 @@ def mcn_greedy(tensor: AdjacencyTensor) -> MCNResult:
             arithmetic any node outside the span raises it.
     """
     n = tensor.dim
-    node_degrees = degrees(tensor)
-    order = sorted(range(1, n + 1), key=lambda j: (-node_degrees[j - 1], j))
-    class_of = {}
-    for cid, members in enumerate(_twin_classes(tensor)):
-        class_of.update(dict.fromkeys(members, cid))
+    # unchosen candidates, highest degree first; the stable sort keeps index order on ties
+    order = (np.argsort(-degrees(tensor), kind="stable") + 1).tolist()
+    lower_twin = _lower_twins(_twin_classes(tensor))
+    chosen: set = set()
     basis = np.zeros((n, 0))
-    rank = 0
-    chosen: list[int] = []
     trace: list[tuple] = []
     counts = {"closures": 0, "early_stop": 0, "twins": 0}
-    while rank < n:
-        remaining = [j for j in order if j not in chosen]
-        node, best = 0, None
-        seen: set = set()
-        for pos, j in enumerate(remaining):
-            if class_of[j] in seen:
+    while basis.shape[1] < n:
+        pick, best = 0, None
+        for pos, j in enumerate(order):
+            if j in lower_twin and lower_twin[j] not in chosen:
                 counts["twins"] += 1
                 continue
-            seen.add(class_of[j])
             res = closure_basis(tensor, (j,), closed=basis)
             counts["closures"] += 1
             if best is None or res.rank > best.rank:
-                node, best = j, res
+                pick, best = pos, res
             if res.rank == n:
-                counts["early_stop"] += len(remaining) - pos - 1
+                counts["early_stop"] += len(order) - pos - 1
                 break
-        if best is None or best.rank <= rank:
-            raise ValueError(f"no candidate raises the rank above {rank} of {n}")
-        basis, rank = best.basis, best.rank
-        chosen.append(node)
-        trace.append((node, rank))
+        if best is None or best.rank <= basis.shape[1]:
+            raise ValueError(f"no candidate raises the rank above {basis.shape[1]} of {n}")
+        basis = best.basis
+        node = order.pop(pick)
+        chosen.add(node)
+        trace.append((node, best.rank))
     return MCNResult(
-        value=len(chosen),
-        witness=tuple(chosen),
+        value=len(trace),
+        witness=tuple(node for node, _ in trace),
         rank_trace=tuple(trace),
         closures=counts.pop("closures"),
         skipped=counts,

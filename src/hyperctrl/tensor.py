@@ -110,12 +110,13 @@ def _arrangements(pattern):
 
 def degrees(tensor: AdjacencyTensor) -> np.ndarray:
     """Node degrees: the tensor summed over its trailing modes, per stored
-    pattern; for an unweighted hypergraph, each node's edge membership count."""
-    out = np.zeros(tensor.dim)
+    pattern; for an unweighted hypergraph, each node's edge membership count.
+    Sums are exactly rounded, so twins tie and pattern order does not count."""
+    terms: list[list] = [[] for _ in range(tensor.dim)]
     for pattern, coef in tensor.entries.items():
         for pivot, _, count in _arrangements(pattern):
-            out[pivot - 1] += coef * count
-    return out
+            terms[pivot - 1].append(coef * count)
+    return np.array([math.fsum(t) for t in terms])
 
 
 def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:

@@ -326,6 +326,16 @@ def _rank_mod_p(tensor: AdjacencyTensor, control_nodes, p: int) -> int:
     return len(pivots)
 
 
+# A weighted graph with twin hubs 1 and 2. Summed in this edge order, one
+# addition at a time, their degrees came out 4.2 and 4.200000000000001.
+TWIN_HUBS = {
+    "n": 8,
+    "edges": [[2, 4], [1, 8], [1, 6], [1, 3], [2, 6], [1, 7],
+              [2, 7], [2, 5], [2, 8], [1, 4], [1, 5], [2, 3]],
+    "weights": [0.2, 0.2, 2.3, 1.1, 2.3, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 1.1],
+}
+
+
 def membership_counts(graph: Hypergraph) -> np.ndarray:
     """Number of edges containing each node (weighted when applicable)."""
     counts = np.zeros(graph.n)

@@ -15,7 +15,7 @@ from hyperctrl import cli, hypergraph as hg
 from hyperctrl.ingest import build_hypergraph, load_time_series_csv
 from hyperctrl.mcn import mcn_exact, mcn_predicted
 
-from helpers import modular_closure_rank
+from helpers import TWIN_HUBS, modular_closure_rank
 
 
 def write_graph(tmp_path, doc, name="g.json"):
@@ -150,15 +150,18 @@ class TestExitCodes:
             ("g.json", b"[1, 2]", ["mcn", "FILE"], "hypergraph document must be a JSON object"),
             ("g.json", b'{"n": 0, "edges": []}', ["check", "FILE"],
              "node count must be >= 1, got 0"),
+            # None: no file is written
+            ("s.csv", None, ["ingest", "FILE"], "No such file or directory"),
         ],
         ids=["mcn-byte-ff", "check-byte-ff", "deep-nesting", "long-csv-field",
              "latin-1-csv", "nan-csv-cell", "inf-csv-cell", "overflowing-csv-cell",
              "empty-csv", "header-only-csv", "header-label-count", "ragged-csv-row",
-             "one-sample-csv", "json-array", "no-nodes"],
+             "one-sample-csv", "json-array", "no-nodes", "missing-csv"],
     )
     def test_unreadable_file_names_it(self, tmp_path, capsys, name, data, argv, detail):
         path = tmp_path / name
-        path.write_bytes(data)
+        if data is not None:
+            path.write_bytes(data)
         argv = [str(path) if tok == "FILE" else tok for tok in argv]
         if argv[0] == "ingest":
             argv += ["--order", "2", "--threshold", "0.5"]
@@ -305,6 +308,20 @@ class TestReport:
         digest = "188695f429da52297a4d87aa6e760a23b2f6aa922a0f9f636372d1562e34bdf4"
         assert self.digest(tmp_path, capsys, CHAIN5) == digest
         assert self.digest(tmp_path, capsys, reordered) == digest
+
+    def test_same_digest_same_greedy_answer(self, tmp_path, capsys):
+        # the witness once held hub 2 in the file's edge order, hub 1 sorted
+        pairs = sorted(zip(TWIN_HUBS["edges"], TWIN_HUBS["weights"]))
+        ordered = {"n": 8, "edges": [e for e, _ in pairs], "weights": [w for _, w in pairs]}
+        reports = []
+        for name, graph in (("hub.json", TWIN_HUBS), ("sorted.json", ordered)):
+            code, out, _ = run(["mcn", write_graph(tmp_path, graph, name), "--report"], capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0]["digest"] == reports[1]["digest"]
+        assert reports[0]["digest"].startswith("b31df09b85f2")
+        for report in reports:
+            assert report["result"]["witness"] == [1, 3, 4, 5, 6, 7]
 
 
 STAR63 = {"n": 6, "edges": [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6]]}
@@ -454,6 +471,28 @@ class TestGenerate:
         code, out, err = run(["generate", *argv], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: C(46, 6) = 9366819 tuples exceeds the 932067 guard")
+
+    @pytest.mark.parametrize(
+        "argv, edges",
+        [
+            (["--family", "chain"], 99999998),
+            (["--family", "ring"], 100000000),
+            (["--family", "star"], 99999998),
+            (["--family", "r-ring", "--r", "1"], 50000000),
+        ],
+        ids=["chain", "ring", "star", "r-ring"],
+    )
+    def test_edges_past_the_byte_cap_are_parameter_problem(self, capsys, monkeypatch, argv, edges):
+        # 10^8 nodes would take tens of GB; refused before any edge is built
+        def no_build(*args):
+            raise AssertionError("edges built")
+
+        monkeypatch.setattr(hg, "range", no_build, raising=False)
+        code, out, err = run(["generate", *argv, "--n", "100000000", "--k", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(
+            f"error: {edges} edges exceeds the 729444 guard (268435456 bytes at 368 per edge)"
+        )
 
 
 class TestBench:

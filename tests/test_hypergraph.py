@@ -84,6 +84,8 @@ class TestGenerators:
             hc.hyperchain(2, 3)
         with pytest.raises(ValueError, match="edge cardinality"):
             hc.hyperring(3, 1)
+        with pytest.raises(ValueError, match="unknown family 'bogus'"):
+            hc.overlap_variant(7, 3, 1, "bogus")
         # equal windows collapse only in the plain ring (r = k-1)
         with pytest.raises(ValueError, match="duplicates"):
             hc.overlap_variant(6, 6, 4, "ring")
@@ -205,6 +207,19 @@ class TestTupleGuard:
         hc.build_hypergraph(series, 3, 0.5)
 
 
+class TestEdgeGuard:
+    """The chain, ring and star builders refuse, before building any edge,
+    more edges than fit ``MAX_GENERATED_BYTES`` at 224 + 48 k bytes each."""
+
+    @pytest.mark.parametrize("family, n", [("chain", 6), ("ring", 4), ("star", 6)])
+    def test_byte_cap_admits_what_fits(self, monkeypatch, family, n):
+        # four edges of 368 bytes each at k = 3
+        monkeypatch.setattr(hypergraph, "MAX_GENERATED_BYTES", 4 * 368)
+        assert len(hc.overlap_variant(n, 3, 2, family).edges) == 4
+        with pytest.raises(ValueError, match=r"^5 edges exceeds the 4 guard \(1472 bytes at 368"):
+            hc.overlap_variant(n + 1, 3, 2, family)
+
+
 class TestAdjacencyUniform:
     def test_order3_entries(self):
         A = hc.adjacency_auto(hc.Hypergraph(3, ((1, 2, 3),)))
@@ -302,6 +317,12 @@ class TestDegrees:
         g = random_mixed_hypergraph(seed, n, min(max_card, n))
         A = hc.adjacency_auto(g)
         assert hc.degrees(A) == pytest.approx(membership_counts(g), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [141, 261, 318, 384])
+    def test_unweighted_mixed_degrees_are_exact_counts(self, seed):
+        # summed in pattern order, these once came out 7.999999999999999
+        g = random_mixed_hypergraph(seed, 7, 4)
+        assert hc.degrees(hc.adjacency_auto(g)).tolist() == membership_counts(g).tolist()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.integers(3, 7), st.integers(2, 4))

@@ -49,6 +49,31 @@ class TestMultiCorrelation:
         with pytest.raises(ValueError, match="channel 2"):
             hc.build_hypergraph(series, 2, 0.5)
 
+    @pytest.mark.parametrize(
+        "nodes, detail",
+        [
+            ((1, 1), "repeats a channel"),
+            ((1, 7), r"has channels outside \[1, 6\]"),
+            ((2,), "needs at least two channels"),
+        ],
+    )
+    def test_bad_tuple_is_refused(self, nodes, detail):
+        with pytest.raises(ValueError, match=detail):
+            hc.multi_correlation(seeded_series(1), nodes)
+
+
+class TestTimeSeriesMatrix:
+    @pytest.mark.parametrize(
+        "rows, labels, detail",
+        [
+            ([[1.0, math.nan], [2.0, 3.0]], None, "signals must be finite"),
+            ([[1.0, 2.0], [2.0, 3.0]], ("a",), "1 labels for 2 channels"),
+        ],
+    )
+    def test_bad_matrix_is_refused(self, rows, labels, detail):
+        with pytest.raises(ValueError, match=detail):
+            hc.TimeSeriesMatrix.from_rows(rows, labels=labels)
+
 
 class TestBuildHypergraph:
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hyperctrl import mcn as mcn_mod
 from hyperctrl.mcn import ExactSearchGuardError, _automorphisms, _twin_classes, mcn_predicted
 
 from helpers import (
+    TWIN_HUBS,
     exact_closure_rank,
     exact_mcn_reference,
     greedy_reference,
@@ -504,6 +506,34 @@ class TestGreedy:
             assert hc.verdict(auto(g), hc.ControlMatrix(res.witness)).full
 
 
+class TestEdgeOrder:
+    """Degrees are sums rounded once, so they, greedy's tie-breaks and its
+    answer depend on the stored patterns, not on the order of the edges."""
+
+    def test_twin_hubs_tie_in_either_edge_order(self):
+        pairs = list(zip(TWIN_HUBS["edges"], TWIN_HUBS["weights"]))
+        for order in (pairs, sorted(pairs)):
+            A = auto(hc.Hypergraph(8, [e for e, _ in order], weights=[w for _, w in order]))
+            d = hc.degrees(A)
+            assert d[0] == d[1]
+            res = hc.mcn_greedy(A)
+            assert res.witness == (6, 1, 3, 4, 5, 7)
+            assert (res.closures, res.skipped) == (16, {"early_stop": 1, "twins": 16})
+
+    @pytest.mark.parametrize(
+        "seed", [10, 25, 31, 34, 52, 90, 98, 104, 133, 145, 163, 176, 200, 240, 261, 296]
+    )
+    def test_shuffled_edges_give_the_same_search(self, seed):
+        g = random_mixed_hypergraph(seed, 8 + seed % 5, 4)
+        edges = list(g.edges)
+        random.Random(seed).shuffle(edges)
+        got = hc.mcn_greedy(auto(hc.Hypergraph(g.n, edges)))
+        want = hc.mcn_greedy(auto(g))
+        # MCNResult equality covers the value, the witness and the rank trace
+        assert got == want
+        assert (got.closures, got.skipped) == (want.closures, want.skipped)
+
+
 class TestPredicted:
     def test_plain_families(self):
         assert mcn_predicted("chain", 10, 4) == 3
@@ -514,6 +544,8 @@ class TestPredicted:
         assert mcn_predicted("star", 10, 4) == 8
         assert mcn_predicted("star", 4, 4) is None  # leafless
         assert mcn_predicted("complete", 9, 4) == 8
+        assert mcn_predicted("chain", 2, 3) is None  # n < k
+        assert mcn_predicted("bogus", 7, 3) is None
 
     def test_variant_table(self):
         assert mcn_predicted("r-chain", 10, 4, 1) == 7
@@ -523,6 +555,8 @@ class TestPredicted:
         assert mcn_predicted("r-star", 10, 3, 2) == 8  # falls back to star
         assert mcn_predicted("r-ring", 10, 4, 1) is None  # non-tiling
         assert mcn_predicted("r-chain", 9, 4, 1) is None
+        assert mcn_predicted("r-chain", 7, 3) is None  # no r
+        assert mcn_predicted("r-chain", 11, 5, 2) is None  # tiles, but no table entry
 
     def test_closed_forms_match_exact_small(self):
         # spot confirmation; the full n<=12 sweep runs in the acceptance suite

@@ -54,6 +54,8 @@ class TestAdjacencyTensor:
             hc.AdjacencyTensor(order=2, dim=3, entries={(1, 4): 1.0})
         with pytest.raises(ValueError):
             hc.AdjacencyTensor(order=2, dim=3, entries={(1, 2): float("nan")})
+        with pytest.raises(ValueError, match="has length 2, expected 3"):
+            hc.AdjacencyTensor(order=3, dim=4, entries={(1, 2): 1.0})
 
     def test_dense_guard(self):
         A = hc.AdjacencyTensor(order=6, dim=12, entries={})
