@@ -41,7 +41,9 @@ def _digest(graph: hg.Hypergraph) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _load_graph(path: str) -> hg.Hypergraph:
+def _load_graph(path: str, columns: int = 2) -> hg.Hypergraph:
+    """The file's hypergraph; refused as too large for memory when numpy
+    cannot describe an (n, columns) int64 array, as a closure step needs."""
     try:
         with open(path, "rb") as fh:
             doc = json.load(fh)
@@ -50,9 +52,12 @@ def _load_graph(path: str) -> hg.Hypergraph:
     except (ValueError, RecursionError) as exc:  # bad bytes, syntax or nesting
         raise _FileError(f"{path}: invalid JSON: {exc}") from None
     try:
-        return hg.from_json_dict(doc)
+        graph = hg.from_json_dict(doc)
     except ValueError as exc:
         raise _FileError(f"{path}: {exc}") from None
+    if graph.n * columns > sys.maxsize // 8:
+        raise MemoryError(f"{graph.n} rows by {columns} columns are past numpy's index range")
+    return graph
 
 
 class _FileError(Exception):
@@ -146,9 +151,10 @@ def cmd_mcn(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    graph = _load_graph(args.hypergraph)
-    loaded = time.perf_counter()
     controls = ControlMatrix(nodes=_parse_nodes(args.controls, "--controls"))
+    # the closure starts from one column per control node
+    graph = _load_graph(args.hypergraph, columns=max(2, len(controls.nodes)))
+    loaded = time.perf_counter()
     tensor = hg.adjacency_auto(graph)
     result = verdict(tensor, controls)
     timings = {"load_s": loaded - started, "compute_s": time.perf_counter() - loaded}

@@ -2,12 +2,13 @@
 
 Nodes are 1-based everywhere. Edges are sets of at least two distinct nodes.
 A hypergraph maps to one order-k adjacency tensor, k the largest edge
-cardinality: an edge of cardinality s fills every length-k index multiset
-that uses each of its nodes, with a per-tuple coefficient chosen so node
-degrees are preserved. On uniform input that is weight/(k-1)! on the tuples
-of each edge. The graph's connected components are restrictions of that one
-tensor (``mcn.connected_components``), so a component whose edges are all
-smaller than the largest edge still has order k.
+cardinality: an edge of cardinality s fills the patterns made of the edge
+plus k - s more of its own nodes, with a per-tuple coefficient that keeps
+each node's degree equal to its weighted edge count. On uniform input that
+is weight/(k-1)! on the tuples of each edge. The graph's connected
+components are restrictions of that one tensor
+(``mcn.connected_components``), so a component whose edges are all smaller
+than the largest edge still has order k.
 
 The chain, ring and star families have one builder, ``overlap_variant``:
 consecutive edges share r nodes, and the plain families are its r = k-1
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .tensor import AdjacencyTensor
@@ -83,47 +83,28 @@ def _surjective_tuple_count(k: int, s: int) -> int:
     )
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` positive integers summing to `total`."""
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        bounds = (0,) + cuts + (total,)
-        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
 def adjacency_auto(graph: Hypergraph) -> AdjacencyTensor:
     """Adjacency tensor of a uniform or mixed-cardinality hypergraph.
 
-    The order k is the maximum edge cardinality. An edge of cardinality s
-    populates every length-k index multiset that uses each of its nodes at
-    least once, with per-tuple coefficient weight * (s / alpha) where alpha
-    counts the surjective tuples; this preserves node degrees. For s = k the
-    share s / alpha rounds to exactly 1/(k-1)!. An edgeless hypergraph maps
-    to an empty order-2 tensor; with no edges every rank and MCN question is
-    order-independent.
+    The order k is the maximum edge cardinality, or 2 for a graph with no
+    edges, where no rank or MCN answer depends on the order.
+    The patterns of an edge of cardinality s are the edge plus each multiset
+    of k - s more of its own nodes, sorted: every length-k index multiset
+    that uses each of its nodes. Each carries the per-tuple coefficient
+    weight * (s / alpha), alpha the number of length-k tuples over the edge
+    that use each node, so a node's degree is its weighted edge count. For
+    s = k the share s / alpha rounds to exactly 1/(k-1)!.
     """
-    if not graph.edges:
-        return AdjacencyTensor(order=2, dim=graph.n, entries={})
-    k = max(len(e) for e in graph.edges)
-    # per cardinality: the shared coefficient and, per composition, the
-    # edge positions that spell out its index multiset
-    layouts: dict = {}
+    k = max(map(len, graph.edges), default=2)
+    shares: dict = {}
     entries: dict = {}
     for idx, edge in enumerate(graph.edges):
         s = len(edge)
-        if s not in layouts:
-            layouts[s] = (
-                s / _surjective_tuple_count(k, s),
-                [
-                    operator.itemgetter(
-                        *(pos for pos, mult in enumerate(comp) for _ in range(mult))
-                    )
-                    for comp in _compositions(k, s)
-                ],
-            )
-        share, spellings = layouts[s]
-        coef = graph.edge_weight(idx) * share
-        for spell in spellings:
-            entries[spell(edge)] = coef
+        if s not in shares:
+            shares[s] = s / _surjective_tuple_count(k, s)
+        coef = graph.edge_weight(idx) * shares[s]
+        for extra in itertools.combinations_with_replacement(edge, k - s):
+            entries[tuple(sorted(edge + extra))] = coef
     return AdjacencyTensor(order=k, dim=graph.n, entries=entries)
 
 

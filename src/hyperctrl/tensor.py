@@ -111,12 +111,20 @@ def _arrangements(pattern):
 def degrees(tensor: AdjacencyTensor) -> np.ndarray:
     """Node degrees: the tensor summed over its trailing modes, per stored
     pattern; for an unweighted hypergraph, each node's edge membership count.
-    Sums are exactly rounded, so twins tie and pattern order does not count."""
+    Sums are exactly rounded, so twins tie and pattern order does not count;
+    one whose exact value is past the float range reads inf."""
     terms: list[list] = [[] for _ in range(tensor.dim)]
     for pattern, coef in tensor.entries.items():
         for pivot, _, count in _arrangements(pattern):
             terms[pivot - 1].append(coef * count)
-    return np.array([math.fsum(t) for t in terms])
+    return np.array([_exact_sum(t) for t in terms])
+
+
+def _exact_sum(terms: list) -> float:
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # positive terms: the sum is past the largest float
+        return math.inf
 
 
 def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:

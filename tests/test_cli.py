@@ -123,6 +123,39 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: input too large for memory")
 
+    # numpy cannot describe an int64 array of n rows and one column per
+    # closure start, so the file is refused at load and nothing is allocated
+    @pytest.mark.parametrize(
+        "n, argv, columns",
+        [
+            (2**62, ["check", "GRAPH", "--controls", "1"], 2),
+            (2**63, ["check", "GRAPH", "--controls", "1"], 2),
+            (2**62, ["mcn", "GRAPH"], 2),
+            (2**63, ["mcn", "GRAPH"], 2),
+            (2**59 // 3, ["check", "GRAPH", "--controls", "1,2,3,4,5,6,7"], 7),
+        ],
+        ids=["check-2^62", "check-2^63", "mcn-2^62", "mcn-2^63", "check-seven-controls"],
+    )
+    def test_node_count_past_index_range_names_file(self, tmp_path, capsys, n, argv, columns):
+        path = write_graph(tmp_path, {"n": n, "edges": [[1, 2]]})
+        argv = [path if tok == "GRAPH" else tok for tok in argv]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: {path}: input too large for memory: "
+            f"{n} rows by {columns} columns are past numpy's index range\n"
+        )
+
+    @pytest.mark.parametrize("method", ["greedy", "exact"])
+    def test_degree_past_the_float_range_solves(self, tmp_path, capsys, method):
+        # node 2's exact degree, 2e308, is past the float range
+        doc = {"n": 3, "edges": [[1, 2], [2, 3]], "weights": [1e308, 1e308]}
+        path = write_graph(tmp_path, doc)
+        code, out, err = run(["mcn", path, "--method", method], capsys)
+        assert code == 0 and err == ""
+        witness = json.loads(out)["witness"]
+        assert modular_closure_rank(hg.adjacency_auto(hg.from_json_dict(doc)), witness) == 3
+
     @pytest.mark.parametrize(
         "name, data, argv, detail",
         [

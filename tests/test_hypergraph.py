@@ -274,6 +274,22 @@ class TestAdjacencyGeneral:
         # degree of node 1 recovered from the tensor equals its edge count
         assert hc.degrees(A)[0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_edge_patterns_match_product_oracle(self, k):
+        # a weighted s-node edge on the even nodes beside a k-node edge on
+        # the odd ones; the oracle counts alpha itself, by the same product
+        for s in range(2, k + 1):
+            edges = (tuple(range(1, 2 * k, 2)), tuple(range(2, 2 * s + 1, 2)))
+            weights = (1.3, 0.7)
+            A = hc.adjacency_auto(hc.Hypergraph(2 * k, edges, weights=weights))
+            want = {}
+            for edge, w in zip(edges, weights):
+                tuples = [t for t in itertools.product(edge, repeat=k) if set(t) == set(edge)]
+                coef = (w * (len(edge) / len(tuples))).hex()
+                want.update({tuple(sorted(t)): coef for t in tuples})
+            assert A.order == k
+            assert {p: c.hex() for p, c in A.entries.items()} == want, (k, s)
+
     def test_empty_graph_is_empty_order2_tensor(self):
         A = hc.adjacency_auto(hc.Hypergraph(3, ()))
         assert (A.order, A.dim, A.entries) == (2, 3, {})
@@ -323,6 +339,11 @@ class TestDegrees:
         # summed in pattern order, these once came out 7.999999999999999
         g = random_mixed_hypergraph(seed, 7, 4)
         assert hc.degrees(hc.adjacency_auto(g)).tolist() == membership_counts(g).tolist()
+
+    def test_degree_past_the_float_range_reads_inf(self):
+        # node 2's exact degree is 2e308; its twins 1 and 3 still tie
+        g = hc.Hypergraph(3, ((1, 2), (2, 3)), weights=(1e308, 1e308))
+        assert hc.degrees(hc.adjacency_auto(g)).tolist() == [1e308, math.inf, 1e308]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.integers(3, 7), st.integers(2, 4))
