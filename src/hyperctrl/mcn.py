@@ -69,28 +69,23 @@ def _twin_classes(tensor: AdjacencyTensor) -> list[tuple]:
     not the node count.
     """
     entries = tensor.entries
-    incidence: list[list] = [[] for _ in range(tensor.dim + 1)]
-    for pattern, coef in entries.items():
-        for j in set(pattern):
-            incidence[j].append((pattern, coef))
+    incidence = tensor.incidence()
 
     def swaps_onto_stored(i: int, j: int) -> bool:
         swap = {i: j, j: i}
-        return len(incidence[i]) == len(incidence[j]) and all(
-            entries.get(tuple(sorted(swap.get(v, v) for v in pattern))) == coef
-            for pattern, coef in incidence[j]
+        return len(incidence[i - 1]) == len(incidence[j - 1]) and all(
+            entries.get(tuple(sorted([i, *(swap.get(v, v) for v in rest)]))) == coef
+            for rest, coef, _ in incidence[j - 1]
         )
 
     classes: list[list[int]] = []
     class_of = [0] * (tensor.dim + 1)
     first_with_key: dict = {}
-    for j in range(1, tensor.dim + 1):
-        key = tuple(sorted(
-            (tuple(v for v in pattern if v != j), coef) for pattern, coef in incidence[j]
-        ))
+    for j, row in enumerate(incidence, start=1):
+        key = tuple(sorted((tuple(v for v in rest if v != j), coef) for rest, coef, _ in row))
         twin = first_with_key.setdefault(key, j)
         if twin == j:
-            neighbours = {v for pattern, _ in incidence[j] for v in pattern if v < j}
+            neighbours = {v for rest, _, _ in row for v in rest if v < j}
             twin = next((i for i in neighbours if swaps_onto_stored(i, j)), j)
         if twin == j:
             class_of[j] = len(classes)
@@ -107,10 +102,36 @@ def _lower_twins(classes: list[tuple]) -> dict:
 
 
 # Caps on the automorphism search of ``mcn_exact``: the elements kept and
-# the candidate images tried. Past either, the search stops and the prune
-# uses the elements found so far, which is sound for any subset of them.
+# the individualize-and-refine steps run. Past either, the search stops and
+# the prune uses the elements found so far, which is sound for any subset.
 _AUT_ELEMENTS = 128
 _AUT_STEPS = 4000
+
+
+def _refine(incidence: list, colour: list) -> list:
+    """The coarsest equitable refinement of a node colouring (0-based, any
+    comparable values), by the tensor's ``incidence``.
+
+    A node's signature is its colour and the sorted (coefficient, sorted
+    colours of the pattern less one copy of the node) over its patterns;
+    nodes split by signature until no colour splits. Each colour is named by
+    the rank of its signature, so relabelling the nodes permutes the result
+    and renames nothing.
+    """
+    cells = len(set(colour))
+    while True:
+        signature = [
+            (c, tuple(sorted(
+                (coef, tuple(sorted([colour[u - 1] for u in rest]))) for rest, coef, _ in row
+            )))
+            for c, row in zip(colour, incidence)
+        ]
+        rank = {sig: r for r, sig in enumerate(sorted(set(signature)))}
+        colour = [rank[sig] for sig in signature]
+        # a colouring with one node per colour splits no further
+        if len(rank) in (cells, len(colour)):
+            return colour
+        cells = len(rank)
 
 
 def _automorphisms(tensor: AdjacencyTensor, classes: list[tuple]) -> np.ndarray:
@@ -124,107 +145,60 @@ def _automorphisms(tensor: AdjacencyTensor, classes: list[tuple]) -> np.ndarray:
     i-th member to i-th member. Any automorphism followed by twin swaps is
     one of these, so they stand for the whole group modulo twins.
 
-    A backtrack maps the class representatives in breadth-first order from
-    node 1. A candidate image has a class of the same size and the same
-    multiset of (distinct nodes, multiplicity, coefficient) over its
-    patterns. It is rejected at once when a member shares a different number
-    of patterns with some mapped node than its image does with that node's
-    image, or when a pattern whose nodes are now all mapped has no stored
-    image with the same coefficient. The search keeps at most
-    ``_AUT_ELEMENTS`` elements and tries at most ``_AUT_STEPS`` candidates.
+    Individualization-refinement (McKay & Piperno, J. Symb. Comput. 60,
+    2014): colour each node by (class size, place in class) and ``_refine``.
+    While a colour holds more than one node, individualize the first node of
+    the first such colour and refine, depth first; the other nodes of that
+    colour are tried after it. The first path ends in a discrete colouring,
+    the leaf every other leaf is compared with; a child is kept only when its
+    sorted colouring equals the first path's at its depth, as an
+    automorphism's image must. The map from the first leaf to another, node
+    to node of the same colour, is kept when it sends every stored pattern to
+    one with the same coefficient. Each automorphism is the map to exactly
+    one leaf. The search keeps at most ``_AUT_ELEMENTS`` elements and runs
+    at most ``_AUT_STEPS`` individualize-and-refine steps.
     """
     n = tensor.dim
     entries = tensor.entries
-    incident: list[list] = [[] for _ in range(n + 1)]
-    # shares[u][v]: the number of patterns that hold both u and v
-    shares = [[0] * (n + 1) for _ in range(n + 1)]
-    for pattern in entries:
-        nodes = set(pattern)
-        for u in nodes:
-            incident[u].append(pattern)
-            for v in nodes:
-                shares[u][v] += 1
-    members = {c[0]: c for c in classes}
-    rep = {v: c[0] for c in classes for v in c}
-    signature = {
-        r: (len(c), tuple(sorted((len(set(p)), p.count(r), entries[p]) for p in incident[r])))
-        for r, c in members.items()
-    }
-    # the candidate images: the representatives with each signature
-    alike: dict = {}
-    for r in members:
-        alike.setdefault(signature[r], []).append(r)
-    # breadth-first from node 1, restarting at the lowest unvisited
-    # representative on a disconnected tensor; parent[d] found order[d]
-    order: list[int] = []
-    parent: list[int] = []
-    depth: dict = {}
-    for root in members:
-        if root in depth:
-            continue
-        head = depth[root] = len(order)
-        order.append(root)
-        parent.append(0)
-        while head < len(order):
-            r = order[head]
-            head += 1
-            for pattern in (p for v in members[r] for p in incident[v]):
-                for u in pattern:
-                    if rep[u] not in depth:
-                        depth[rep[u]] = len(order)
-                        order.append(rep[u])
-                        parent.append(r)
-    # the patterns whose nodes are all mapped once order[d] is
-    closing: list[list] = [[] for _ in order]
-    for pattern, coef in entries.items():
-        closing[max(depth[rep[v]] for v in pattern)].append((pattern, coef))
-
-    image = [0] * (n + 1)
-    used = [False] * (n + 1)
-    mapped: list[int] = []
+    incidence = tensor.incidence()
+    start = [()] * n
+    for members in classes:
+        for place, v in enumerate(members):
+            start[v - 1] = (len(members), place)
+    shapes: list[list] = []  # the first path's sorted colourings, by depth
+    first: list[int] = []    # the node of each colour at the first leaf
     found: list[list] = []
     steps = 0
-    # the backtrack keeps one candidate iterator per depth on a stack, so
-    # that no recursion limit bounds the number of classes
-    pending = [iter(alike[signature[order[0]]])]
-    chosen: list[int] = []
-    while pending and len(found) < _AUT_ELEMENTS and steps < _AUT_STEPS:
-        d = len(pending) - 1
-        s = next(pending[-1], 0)
-        if not s:
-            pending.pop()
-            if chosen:
-                used[chosen.pop()] = False
-                del mapped[-len(members[order[d - 1]]):]
+    # (colouring, depth, node to individualize or -1): an explicit stack, so
+    # that no recursion limit bounds the depth
+    pending = [(start, 0, -1)]
+    while pending and len(found) < _AUT_ELEMENTS:
+        colour, depth, chosen = pending.pop()
+        if chosen >= 0:
+            if steps == _AUT_STEPS:
+                break
+            steps += 1
+            colour = [(c, v == chosen) for v, c in enumerate(colour)]
+        colour = _refine(incidence, colour)
+        shape = sorted(colour)
+        if depth == len(shapes):
+            shapes.append(shape)
+        elif shape != shapes[depth]:
             continue
-        r, p = order[d], parent[d]
-        # past a root, the image shares as many patterns with the parent's
-        # image as the representative does with the parent
-        if used[s] or p and shares[image[p]][s] != shares[p][r]:
+        if shape[-1] < n - 1:
+            # not discrete: try each node of the first colour with two or more
+            target = next(c for c, d in zip(shape, shape[1:]) if c == d)
+            cell = [v for v, c in enumerate(colour) if c == target]
+            pending.extend((colour, depth + 1, v) for v in reversed(cell))
             continue
-        steps += 1
-        src = members[r]
-        for v, w in zip(src, members[s]):
-            image[v] = w
-        mapped.extend(src)
-        if not (
-            all(shares[v][u] == shares[image[v]][image[u]] for v in src for u in mapped)
-            and all(
-                entries.get(tuple(sorted(image[v] for v in pattern))) == coef
-                for pattern, coef in closing[d]
-            )
+        if not first:
+            first = sorted(range(1, n + 1), key=lambda v: colour[v - 1])
+        inverse = [first[c] for c in colour]
+        if all(
+            entries.get(tuple(sorted(inverse[v - 1] for v in pattern))) == coef
+            for pattern, coef in entries.items()
         ):
-            del mapped[-len(src):]
-        elif d + 1 < len(order):
-            used[s] = True
-            chosen.append(s)
-            pending.append(iter(alike[signature[order[d + 1]]]))
-        else:
-            inverse = [0] * n
-            for v in range(1, n + 1):
-                inverse[image[v] - 1] = v
             found.append(inverse)
-            del mapped[-len(src):]
     return np.array(found, dtype=np.intp).reshape(-1, n)
 
 
@@ -234,7 +208,10 @@ def connected_components(tensor: AdjacencyTensor) -> list[Component]:
     component (see ``Component``), with the coefficients of its patterns as
     they are; pieces come in order of their lowest node."""
     # union-find over the stored patterns; ids in order of the lowest node
-    parent = list(range(tensor.dim + 1))
+    try:
+        parent = list(range(tensor.dim + 1))
+    except MemoryError:  # it carries no message of its own
+        raise MemoryError(f"a union-find table for {tensor.dim} nodes") from None
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -282,8 +259,10 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
     - j has a lower twin (see ``_twin_classes``) that P lacks: swapping the
       two maps every set below the child onto a lexicographically smaller
       one of the same size and rank;
-    - an automorphism sigma (see ``_automorphisms``, found once per call)
-      maps every set below the child onto a lexicographically smaller one.
+    - an automorphism sigma (see ``_automorphisms``: found once per call by
+      individualization and colour refinement, with capped elements and
+      steps) maps every set below the child onto a lexicographically
+      smaller one.
       The child's indicator x is decided on 1..j, and that of its image,
       y_i = x[sigma^-1(i)], where sigma^-1(i) <= j. If the first i <= j at
       which y is undecided or differs from x is decided with y_i = 1 and

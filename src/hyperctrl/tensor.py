@@ -72,6 +72,7 @@ class AdjacencyTensor:
     dim: int
     entries: dict
     _kernel: _Kernel | None = field(default=None, init=False, repr=False, compare=False)
+    _incidence: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 2:
@@ -95,6 +96,24 @@ class AdjacencyTensor:
             object.__setattr__(self, "_kernel", _build_kernel(self))
         return self._kernel
 
+    def incidence(self) -> list:
+        """Per node, 0-based: one ``(rest, coef, count)`` from
+        ``_arrangements`` for each stored pattern that holds the node, in
+        pattern order, with the pattern's coefficient; a node in no pattern
+        has none."""
+        if self._incidence is None:
+            try:  # one request, so a huge dimension fails at once
+                table: list = [()] * self.dim
+            except MemoryError:
+                raise MemoryError(f"an incidence index for {self.dim} nodes") from None
+            for pattern, coef in self.entries.items():
+                for pivot, rest, count in _arrangements(pattern):
+                    row = table[pivot - 1] or []
+                    row.append((rest, coef, count))
+                    table[pivot - 1] = row
+            object.__setattr__(self, "_incidence", table)
+        return self._incidence
+
 
 def _arrangements(pattern):
     """(pivot, rest, count) per distinct node of a sorted pattern, pivots
@@ -113,11 +132,9 @@ def degrees(tensor: AdjacencyTensor) -> np.ndarray:
     pattern; for an unweighted hypergraph, each node's edge membership count.
     Sums are exactly rounded, so twins tie and pattern order does not count;
     one whose exact value is past the float range reads inf."""
-    terms: list[list] = [[] for _ in range(tensor.dim)]
-    for pattern, coef in tensor.entries.items():
-        for pivot, _, count in _arrangements(pattern):
-            terms[pivot - 1].append(coef * count)
-    return np.array([_exact_sum(t) for t in terms])
+    return np.array([
+        _exact_sum([coef * count for _, coef, count in row]) for row in tensor.incidence()
+    ])
 
 
 def _exact_sum(terms: list) -> float:

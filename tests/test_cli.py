@@ -122,6 +122,8 @@ class TestExitCodes:
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: input too large for memory")
+        # check names numpy's array shape, mcn the union-find table
+        assert "100000000000000" in err
 
     # numpy cannot describe an int64 array of n rows and one column per
     # closure start, so the file is refused at load and nothing is allocated

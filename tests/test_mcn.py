@@ -10,7 +10,13 @@ import pytest
 
 import hyperctrl as hc
 from hyperctrl import mcn as mcn_mod
-from hyperctrl.mcn import ExactSearchGuardError, _automorphisms, _twin_classes, mcn_predicted
+from hyperctrl.mcn import (
+    ExactSearchGuardError,
+    _automorphisms,
+    _refine,
+    _twin_classes,
+    mcn_predicted,
+)
 
 from helpers import (
     TWIN_HUBS,
@@ -234,6 +240,12 @@ class TestTwinClasses:
         assert with_twins >= 10
 
 
+# the 20-node k = 2 circulant that joins node i to i + 3, i + 4 and i + 8
+CIRCULANT = hc.Hypergraph(20, tuple(sorted(
+    tuple(sorted((i + 1, (i + d) % 20 + 1))) for i in range(20) for d in (3, 4, 8)
+)))
+
+
 def permutation_group_order(tensor):
     """The number of node permutations that map every stored pattern onto a
     stored pattern with the same coefficient, by trying each one."""
@@ -258,6 +270,7 @@ class TestAutomorphisms:
         "weighted-ring-12-3": hc.Hypergraph(
             12, hc.hyperring(12, 3).edges, weights=tuple(float(w) for w in range(1, 13))
         ),
+        "circulant-20": CIRCULANT,
     }
 
     @pytest.mark.parametrize(
@@ -271,6 +284,8 @@ class TestAutomorphisms:
             ("star-12-3", 1),
             ("complete-6-3", 1),
             ("weighted-ring-12-3", 1),
+            # dihedral; co-occurrence counts alone tell few of its nodes apart
+            ("circulant-20", 40),
         ],
     )
     def test_group_orders(self, name, order):
@@ -313,6 +328,13 @@ class TestAutomorphisms:
             swaps = math.prod(math.factorial(len(c)) for c in classes)
             assert len(_automorphisms(A, classes)) * swaps == permutation_group_order(A), g
 
+    def test_circulant_exact_mcn(self):
+        # a backtrack capped at 6 of the 40 elements ran 18 closures here
+        A = auto(CIRCULANT)
+        got = hc.mcn_exact(A)
+        assert got == exact_mcn_reference(A)
+        assert (got.value, got.witness, got.closures) == (2, (1, 2), 3)
+
     @pytest.mark.parametrize("elements, steps", [(2, 4000), (128, 0), (1, 1)])
     def test_capped_search_keeps_the_witness(self, monkeypatch, elements, steps):
         # pruning by any subset of the group is sound
@@ -323,6 +345,49 @@ class TestAutomorphisms:
         got = hc.mcn_exact(A)
         assert (got.value, got.witness) == (6, (1, 2, 4, 6, 8, 10))
         assert 136 <= got.closures <= 704
+
+
+class TestRefine:
+    GRAPHS = [
+        *TestAutomorphisms.GRAPHS.values(),
+        hc.hyperstar(8, 3),
+        hc.overlap_variant(12, 4, 2, "ring"),
+        *(hc.random_uniform(8, 3, 0.2, seed) for seed in range(1, 6)),
+        *(random_mixed_hypergraph(seed, 7, 3) for seed in range(1, 6)),
+    ]
+
+    def test_twins_and_orbits_share_a_colour(self):
+        for g in self.GRAPHS:
+            A = auto(g)
+            colour = _refine(A.incidence(), [0] * A.dim)
+            classes = _twin_classes(A)
+            for members in classes:
+                assert len({colour[v - 1] for v in members}) == 1, g
+            for inverse in _automorphisms(A, classes).tolist():
+                assert [colour[v - 1] for v in inverse] == colour, g
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_relabelling_permutes_the_colouring(self, seed):
+        rng = random.Random(seed)
+        for g in self.GRAPHS:
+            A = auto(g)
+            n = A.dim
+            label = list(range(1, n + 1))
+            rng.shuffle(label)
+            B = hc.AdjacencyTensor(A.order, n, {
+                tuple(sorted(label[v - 1] for v in p)): c for p, c in A.entries.items()
+            })
+            # uniform, and with one node individualized
+            start = [0] * n
+            for marked in (None, rng.randrange(n)):
+                if marked is not None:
+                    start[marked] = 1
+                moved = [0] * n
+                for v in range(n):
+                    moved[label[v] - 1] = start[v]
+                want = _refine(A.incidence(), start)
+                got = _refine(B.incidence(), moved)
+                assert [got[label[v] - 1] for v in range(n)] == want, g
 
 
 def greedy_grid():

@@ -63,6 +63,37 @@ class TestAdjacencyTensor:
             dense_tensor(A)
 
 
+def incidence_oracle(tensor):
+    """Per node, (pattern less one copy of the node, coefficient, number of
+    distinct orders of that rest) for each stored pattern holding it."""
+    rows = [[] for _ in range(tensor.dim)]
+    for pattern, coef in tensor.entries.items():
+        for j in sorted(set(pattern)):
+            rest = list(pattern)
+            rest.remove(j)
+            rows[j - 1].append((tuple(rest), coef, len(set(itertools.permutations(rest)))))
+    return rows
+
+
+class TestIncidence:
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_matches_the_oracle(self, seed):
+        graphs = [random_hypergraph(seed, 8, k, density=0.3) for k in (2, 3, 4)]
+        g = random_mixed_hypergraph(seed, 7, 4)
+        weights = tuple(seeded_floats(seed, len(g.edges), lo=0.5, hi=4.0))
+        graphs.append(hc.Hypergraph(g.n, g.edges, weights=weights))
+        for g in graphs:
+            A = hc.adjacency_auto(g)
+            assert [list(row) for row in A.incidence()] == incidence_oracle(A), g
+
+    def test_is_built_once_and_covers_isolated_nodes(self):
+        A = hc.AdjacencyTensor(order=3, dim=4, entries={(1, 1, 2): 0.5})
+        assert A.incidence() is A.incidence()
+        assert [list(row) for row in A.incidence()] == [
+            [((1, 2), 0.5, 2)], [((1, 1), 0.5, 1)], [], []
+        ]
+
+
 class TestTtv:
     def test_single_edge_basis_vectors(self):
         # only the entry selected by the fixed index assignment survives
