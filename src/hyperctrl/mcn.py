@@ -288,6 +288,9 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
     would be full), and each of its prefixes' bounds holds closure(W). So
     the witness is the one the plain enumeration by size finds.
 
+    A one-node tensor is answered by its node with no search: e_1 spans the
+    whole space.
+
     Raises:
         ExactSearchGuardError: n exceeds ``guard``; use the greedy search.
         ValueError: the walk ends without a full set; a guard, since in
@@ -299,6 +302,8 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
             f"exhaustive search over {n} nodes exceeds the guard of {guard}; "
             "raise the guard explicitly or use mcn_greedy"
         )
+    if n == 1:
+        return MCNResult(1, (1,), skipped={"twins": 0, "symmetry": 0, "bound": 0})
     classes = _twin_classes(tensor)
     lower_twin = _lower_twins(classes)
     group = _automorphisms(tensor, classes)
@@ -381,11 +386,16 @@ def mcn_greedy(tensor: AdjacencyTensor) -> MCNResult:
     - the step ends at the first candidate whose closure reaches rank n: no
       later candidate has a larger gain, and an equal one loses the tie.
 
+    A one-node tensor is answered by its node with no search, as in
+    ``mcn_exact``.
+
     Raises:
         ValueError: no candidate raises the rank; a guard, since in exact
             arithmetic any node outside the span raises it.
     """
     n = tensor.dim
+    if n == 1:
+        return MCNResult(1, (1,), ((1, 1),), skipped={"early_stop": 0, "twins": 0})
     # unchosen candidates, highest degree first; the stable sort keeps index order on ties
     order = (np.argsort(-degrees(tensor), kind="stable") + 1).tolist()
     lower_twin = _lower_twins(_twin_classes(tensor))

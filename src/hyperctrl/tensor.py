@@ -11,19 +11,23 @@ the number of distinct orders of the rest, which all give one product. A
 double num / 2^e maps exactly to num * (2^e)^-1 mod p. The prime starts at
 2^20 - 3 and steps down to the next prime while a nonzero coefficient's
 numerator is a multiple of it, so no stored weight turns into a zero.
-``_apply_polar`` gives T(x, ..., x) mod p, in int64 with a reduction after
-each slot, so no product exceeds 2^40.
+``_build_kernel`` reads the stored patterns as one array, k nodes a row,
+and finds each node's run and the rest of its row by comparing entries.
+``_apply_polar`` gives T(x, ..., x) mod p in int64 and reduces once per two
+slots: a residue times two more stays below 2^60, and every value that
+enters the row sums is below p.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# The largest prime below 2^20: residues below it multiply to under 2^40 in
-# int64, and sums of 2^23 such products still fit.
+# The largest prime below 2^20: three residues below it multiply to under
+# 2^60 in int64, and a sum of up to 2^43 residues still fits.
 _PRIME = 1048573
 
 
@@ -52,9 +56,13 @@ def _apply_polar(tensor: "AdjacencyTensor", x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     if not kern.coefs.size:
         return out
-    prod = kern.coefs[:, None] * x[kern.slots[0]] % p
-    for slots in kern.slots[1:]:
-        prod = prod * x[slots] % p
+    # a residue times two more stays under 2^60; reduce once per two slots,
+    # so every value reaching the sum is below p
+    prod = kern.coefs[:, None]
+    for pair in range(0, len(kern.slots), 2):
+        for slots in kern.slots[pair:pair + 2]:
+            prod = prod * x.take(slots, axis=0)
+        prod %= p
     out[kern.targets] = np.add.reduceat(prod, kern.starts, axis=0) % p
     return out
 
@@ -146,36 +154,65 @@ def _exact_sum(terms: list) -> float:
 
 def _build_kernel(tensor: AdjacencyTensor) -> _Kernel:
     k = tensor.order
-    ratios = {value: value.as_integer_ratio() for value in map(float, tensor.entries.values())}
+    values = tensor.entries.values()
+    ratios = {value: value.as_integer_ratio() for value in set(map(float, values))}
     p = _PRIME
     while any(num % p == 0 for num, _ in ratios.values() if num):
         p -= 2
         while any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
             p -= 2
     residue = {value: num * pow(den, -1, p) % p for value, (num, den) in ratios.items()}
-    rows: list[int] = []
-    coefs: list[int] = []
-    slot_idx: list[list[int]] = [[] for _ in range(k - 1)]
-    for pattern, value in tensor.entries.items():
-        coef = residue[float(value)]
-        for pivot, rest, count in _arrangements(pattern):
-            rows.append(pivot - 1)
-            coefs.append(coef * count % p)
-            for slot, node in enumerate(rest):
-                slot_idx[slot].append(node - 1)
-    row_arr = np.asarray(rows, dtype=np.intp)
-    order = np.argsort(row_arr, kind="stable")
-    sorted_rows = row_arr[order]
-    starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
+    size = len(values)
+    if not size:  # cheap for the many one-node pieces of a sparse graph
+        empty = np.zeros(0, dtype=np.intp)
+        return _Kernel(empty, empty, np.zeros((k - 1, 0), dtype=np.intp), empty.astype(np.int64), p)
+    # the stored patterns, one row of k 0-based nodes each, read flat
+    flat = np.fromiter(itertools.chain.from_iterable(tensor.entries), dtype=np.intp, count=size * k)
+    flat -= 1
+    # each node's first place in its sorted row, pivots ascending, and the
+    # order of those rows stably by output node
+    head = np.ones(size * k, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=head[1:])
+    head[::k] = True
+    first = np.flatnonzero(head)
+    order = np.argsort(flat.take(first), kind="stable")
+    weight = np.fromiter(map(residue.__getitem__, map(float, values)), dtype=np.int64, count=size)
+    coefs = _row_coefs(first, weight, k, p).take(order)
+    first = first.take(order)
+    rows = flat.take(first)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    # the rest of a row less its node in column c: every other column, in
+    # order, as offsets from c
+    rest = np.array([[j - c for j in range(k) if j != c] for c in range(k)], dtype=np.intp)
     return _Kernel(
         starts=starts,
-        targets=sorted_rows[starts],
-        slots=np.ascontiguousarray(
-            np.asarray(slot_idx, dtype=np.intp).reshape(k - 1, -1)[:, order]
-        ),
-        coefs=np.asarray(coefs, dtype=np.int64)[order],
+        targets=rows.take(starts),
+        slots=flat.take((rest.take(first % k, axis=0) + first[:, None]).T),
+        coefs=coefs,
         prime=p,
     )
+
+
+def _row_coefs(first: np.ndarray, weight: np.ndarray, k: int, p: int) -> np.ndarray:
+    """Per node's first place ``first`` in the flat patterns, its pattern's
+    residue ``weight`` times the arrangement count (k-1)! m / prod m_v!, mod
+    p: m is the length of the node's run, and each run of the pattern gives
+    a 1/m_v!."""
+    size = len(weight)
+    mult = np.diff(first, append=size * k)
+    fact = [1]
+    for i in range(1, k + 1):
+        fact.append(fact[-1] * i % p)
+    inverse = np.ones(size * k, dtype=np.int64)
+    inverse[first] = np.array([pow(f, -1, p) for f in fact], dtype=np.int64).take(mult)
+    for column in inverse.reshape(size, k).T:
+        weight = weight * column % p
+    coefs = weight.take(first // k)
+    coefs *= mult
+    coefs %= p
+    coefs *= fact[k - 1]
+    coefs %= p
+    return coefs
 
 
 @dataclass(frozen=True)

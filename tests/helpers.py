@@ -9,11 +9,15 @@ and greedy searches that the pruned ones must agree with.
 fast enough for hundreds of nodes. ``entry`` reads one entry of the
 production storage. ``ttv_multi`` (in floats) and ``contract_mod_p``
 (exactly, then mod p) contract the tensor term by term from its stored
-patterns, with none of the production kernel.
+patterns, with none of the production kernel. ``kernel_reference`` builds
+the kernel one pattern at a time, as the array build must match.
+``REFERENCE_GRID`` is the named set of small graphs that several modules
+check against their oracles.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,10 +28,17 @@ from hyperctrl import (
     Hypergraph,
     MCNResult,
     closure_basis,
+    complete,
     connected_components,
     degrees,
+    hyperchain,
+    hyperring,
+    hyperstar,
+    overlap_variant,
+    random_uniform,
 )
 from hyperctrl.hypergraph import _splitmix64
+from hyperctrl.tensor import _PRIME, _Kernel, _arrangements
 
 # Dense materialization allocates n^k entries; refuse anything above this.
 MAX_DENSE_ENTRIES = 10**6
@@ -58,10 +69,10 @@ def _terms(tensor: AdjacencyTensor):
     ..., j_{k-1}) that realizes a stored pattern, all 0-based."""
     for pattern, coef in tensor.entries.items():
         for pivot in set(pattern):
-            rest = list(pattern)
-            rest.remove(pivot)
+            rest = [j - 1 for j in pattern]
+            rest.remove(pivot - 1)
             for sigma in set(itertools.permutations(rest)):
-                yield pivot - 1, tuple(j - 1 for j in sigma), coef
+                yield pivot - 1, sigma, coef
 
 
 def ttv_multi(tensor: AdjacencyTensor, vectors) -> np.ndarray:
@@ -77,14 +88,52 @@ def ttv_multi(tensor: AdjacencyTensor, vectors) -> np.ndarray:
 
 def contract_mod_p(tensor: AdjacencyTensor, vectors, p: int) -> list:
     """Contract the tensor with k-1 integer vectors in exact rationals, then
-    reduce each entry a/b to a * b^-1 mod p."""
-    out = [Fraction(0)] * tensor.dim
+    reduce each entry a/b to a * b^-1 mod p. The integer products are summed
+    per (output row, coefficient) first, so only those sums meet a rational."""
+    vectors = [[int(a) for a in v] for v in vectors]
+    sums: list[dict] = [{} for _ in range(tensor.dim)]
     for i, sigma, coef in _terms(tensor):
-        prod = Fraction(coef)
-        for v, j in zip(vectors, sigma):
-            prod *= int(v[j])
-        out[i] += prod
+        prod = math.prod([v[j] for v, j in zip(vectors, sigma)])
+        sums[i][coef] = sums[i].get(coef, 0) + prod
+    out = [sum((Fraction(c) * s for c, s in row.items()), Fraction(0)) for row in sums]
     return [a.numerator * pow(a.denominator, -1, p) % p for a in out]
+
+
+def kernel_reference(tensor: AdjacencyTensor) -> _Kernel:
+    """The contraction kernel built one stored pattern at a time: a row per
+    (pattern, node) from ``_arrangements``, then sorted stably by output
+    row. ``tensor._build_kernel`` must give these arrays exactly."""
+    k = tensor.order
+    ratios = {value: value.as_integer_ratio() for value in map(float, tensor.entries.values())}
+    p = _PRIME
+    while any(num % p == 0 for num, _ in ratios.values() if num):
+        p -= 2
+        while any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+            p -= 2
+    residue = {value: num * pow(den, -1, p) % p for value, (num, den) in ratios.items()}
+    rows: list[int] = []
+    coefs: list[int] = []
+    slot_idx: list[list[int]] = [[] for _ in range(k - 1)]
+    for pattern, value in tensor.entries.items():
+        coef = residue[float(value)]
+        for pivot, rest, count in _arrangements(pattern):
+            rows.append(pivot - 1)
+            coefs.append(coef * count % p)
+            for slot, node in enumerate(rest):
+                slot_idx[slot].append(node - 1)
+    row_arr = np.asarray(rows, dtype=np.intp)
+    order = np.argsort(row_arr, kind="stable")
+    sorted_rows = row_arr[order]
+    starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
+    return _Kernel(
+        starts=starts,
+        targets=sorted_rows[starts],
+        slots=np.ascontiguousarray(
+            np.asarray(slot_idx, dtype=np.intp).reshape(k - 1, -1)[:, order]
+        ),
+        coefs=np.asarray(coefs, dtype=np.int64)[order],
+        prime=p,
+    )
 
 
 def dense_ttv(tensor: AdjacencyTensor, vectors) -> np.ndarray:
@@ -359,8 +408,6 @@ def seeded_ints(seed: int, count: int, bound: int) -> list:
 
 def random_hypergraph(seed: int, n: int, k: int, density=0.4) -> Hypergraph:
     """Seeded uniform hypergraph (thin wrapper kept for test readability)."""
-    from hyperctrl import random_uniform
-
     return random_uniform(n, k, density, seed)
 
 
@@ -376,3 +423,36 @@ def random_mixed_hypergraph(seed: int, n: int, max_card: int) -> Hypergraph:
     if not edges:
         edges = [candidates[_splitmix64(seed, len(candidates)) % len(candidates)]]
     return Hypergraph(n=n, edges=tuple(edges))
+
+
+def reference_grid():
+    """Family, random, weighted mixed-cardinality, disconnected and overlap
+    variant graphs."""
+    for n in range(5, 10):
+        for k in (3, 4):
+            yield f"chain-{n}-{k}", hyperchain(n, k)
+            yield f"ring-{n}-{k}", hyperring(n, k)
+            if n < 9:
+                yield f"star-{n}-{k}", hyperstar(n, k)
+            if n < 8:
+                yield f"complete-{n}-{k}", complete(n, k)
+    for k, density in ((2, 0.3), (3, 0.15), (4, 0.05)):
+        for seed in range(1, 7):
+            n = 6 + seed % 3
+            yield f"random-{n}-{k}-{seed}", random_uniform(n, k, density, seed)
+    for seed in range(1, 7):
+        g = random_mixed_hypergraph(seed, 6 + seed % 2, 4)
+        weights = tuple(seeded_floats(seed, len(g.edges), lo=0.5, hi=4.0))
+        yield f"mixed-{seed}", Hypergraph(g.n, g.edges, weights=weights)
+    yield "disconnected", Hypergraph(9, ((1, 2, 3), (2, 3, 4), (5, 6, 7)))
+    for n in (10, 11):
+        for k, r in ((3, 1), (4, 1), (4, 2)):
+            for family in ("chain", "ring", "star"):
+                try:
+                    graph = overlap_variant(n, k, r, family)
+                except ValueError:
+                    continue  # the variant does not tile n
+                yield f"r-{family}-{n}-{k}-{r}", graph
+
+
+REFERENCE_GRID = dict(reference_grid())

@@ -311,6 +311,24 @@ class TestReport:
         assert all("search" not in c for c in json.loads(out)["components"])
 
     @pytest.mark.parametrize(
+        "method, skipped",
+        [("greedy", {"early_stop": 0, "twins": 0}), ("exact", {"twins": 0, "symmetry": 0, "bound": 0})],
+    )
+    def test_one_node_components_run_no_closure(self, tmp_path, capsys, method, skipped):
+        path = write_graph(tmp_path, {"n": 5, "edges": [[1, 2]]})
+        code, out, _ = run(["mcn", path, "--method", method, "--report"], capsys)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["value"], result["witness"]) == (4, [1, 3, 4, 5])
+        pair, *singles = result["components"]
+        assert pair["search"]["closures"] > 0
+        for j, comp in zip((3, 4, 5), singles):
+            assert (comp["nodes"], comp["value"], comp["witness"]) == ([j], 1, [j])
+            assert comp["search"] == {"closures": 0, "skipped": skipped, "prime": 1048573}
+            if method == "greedy":
+                assert comp["rank_trace"] == [[j, 1]]
+
+    @pytest.mark.parametrize(
         "argv, parameters",
         [
             (["--method", "exact"], {"method": "exact", "guard": 20}),

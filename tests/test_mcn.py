@@ -19,6 +19,7 @@ from hyperctrl.mcn import (
 )
 
 from helpers import (
+    REFERENCE_GRID,
     TWIN_HUBS,
     exact_closure_rank,
     exact_mcn_reference,
@@ -91,39 +92,6 @@ class TestExact:
         assert res.skipped == {"twins": 5, "symmetry": 0, "bound": 0}
         assert (res.value, res.witness) == (3, (1, 2, 3))
         assert hc.verdict(auto(hc.complete(4, 4)), hc.ControlMatrix(res.witness)).full
-
-
-def reference_grid():
-    """Family, random, weighted mixed-cardinality, disconnected and overlap
-    variant graphs."""
-    for n in range(5, 10):
-        for k in (3, 4):
-            yield f"chain-{n}-{k}", hc.hyperchain(n, k)
-            yield f"ring-{n}-{k}", hc.hyperring(n, k)
-            if n < 9:
-                yield f"star-{n}-{k}", hc.hyperstar(n, k)
-            if n < 8:
-                yield f"complete-{n}-{k}", hc.complete(n, k)
-    for k, density in ((2, 0.3), (3, 0.15), (4, 0.05)):
-        for seed in range(1, 7):
-            n = 6 + seed % 3
-            yield f"random-{n}-{k}-{seed}", hc.random_uniform(n, k, density, seed)
-    for seed in range(1, 7):
-        g = random_mixed_hypergraph(seed, 6 + seed % 2, 4)
-        weights = tuple(seeded_floats(seed, len(g.edges), lo=0.5, hi=4.0))
-        yield f"mixed-{seed}", hc.Hypergraph(g.n, g.edges, weights=weights)
-    yield "disconnected", hc.Hypergraph(9, ((1, 2, 3), (2, 3, 4), (5, 6, 7)))
-    for n in (10, 11):
-        for k, r in ((3, 1), (4, 1), (4, 2)):
-            for family in ("chain", "ring", "star"):
-                try:
-                    graph = hc.overlap_variant(n, k, r, family)
-                except ValueError:
-                    continue  # the variant does not tile n
-                yield f"r-{family}-{n}-{k}-{r}", graph
-
-
-REFERENCE_GRID = dict(reference_grid())
 
 
 SYMMETRIC = {
@@ -648,6 +616,33 @@ class TestPredicted:
             except ValueError as exc:
                 assert "feasible n" in str(exc)
                 assert want is None, (n, k, r)
+
+
+class TestOneNode:
+    """A one-node tensor is answered by its node: no degree, twin class,
+    kernel or closure is built, and the answer is the searches' own."""
+
+    @pytest.mark.parametrize(
+        "search, reference, skipped",
+        [
+            (hc.mcn_greedy, greedy_reference, {"early_stop": 0, "twins": 0}),
+            (hc.mcn_exact, exact_mcn_reference, {"twins": 0, "symmetry": 0, "bound": 0}),
+        ],
+        ids=["greedy", "exact"],
+    )
+    @pytest.mark.parametrize(
+        "entries", [{}, {(1, 1, 1): 1048573.0}], ids=["bare", "self-pattern"]
+    )
+    def test_answered_without_a_search(self, search, reference, skipped, entries):
+        A = hc.AdjacencyTensor(3, 1, entries)
+        got = search(A)
+        assert A._kernel is None and A._incidence is None
+        assert (got.value, got.witness, got.closures, got.skipped) == (1, (1,), 0, skipped)
+        assert got == reference(hc.AdjacencyTensor(3, 1, entries))
+
+    def test_exact_guard_still_applies(self):
+        with pytest.raises(ExactSearchGuardError):
+            hc.mcn_exact(hc.AdjacencyTensor(2, 1, {}), guard=0)
 
 
 class TestComponents:

@@ -1,7 +1,9 @@
 """Tensor storage and contraction."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +12,16 @@ from hypothesis import strategies as st
 
 import hyperctrl as hc
 from hyperctrl.controllability import closure_basis
-from hyperctrl.tensor import _apply_polar
+from hyperctrl.tensor import _apply_polar, _build_kernel
 
 from helpers import (
+    REFERENCE_GRID,
     contract_mod_p,
     dense_tensor,
     dense_ttv,
     entry,
     exact_closure_rank,
+    kernel_reference,
     random_hypergraph,
     random_mixed_hypergraph,
     seeded_floats,
@@ -142,6 +146,15 @@ def seeded_residues(seed, n, p):
     return np.array(seeded_ints(seed, n, p), dtype=np.int64)
 
 
+def step_down_tensors():
+    """The weights of ``test_numerator_divisible_by_the_prime_takes_the_next_prime``."""
+    edges = ((1, 2, 3), (3, 4, 5))
+    return [
+        hc.adjacency_auto(hc.Hypergraph(5, edges, weights=(1.0, weight)))
+        for weight in (1048573.0, 1048573.0 * 1048571)
+    ]
+
+
 class TestPolarKernel:
     """The kernel's residues and its contraction T(x, ..., x) mod p."""
 
@@ -153,7 +166,8 @@ class TestPolarKernel:
             want = contract_mod_p(A, [xs[:, c]] * (A.order - 1), p)
             assert got[:, c].tolist() == want
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    # k - 1 slots, odd and even, so both ends of the paired reduction run
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
     def test_matches_exact_contraction(self, k):
         for seed in range(6):
             g = random_hypergraph(seed, k + 2, k, density=0.5)
@@ -197,11 +211,9 @@ class TestPolarKernel:
         # mod 1048573 it would vanish and the rank drop to 4. A weight of
         # 1048573 * 1048571 (exact as a double) rules out the next prime too,
         # and the step passes the composites 1048569 ... 1048561.
-        edges = ((1, 2, 3), (3, 4, 5))
-        plain = hc.adjacency_auto(hc.Hypergraph(5, edges))
+        plain = hc.adjacency_auto(hc.Hypergraph(5, ((1, 2, 3), (3, 4, 5))))
         assert plain.kernel().prime == 1048573
-        for weight, prime in ((1048573.0, 1048571), (1048573.0 * 1048571, 1048559)):
-            A = hc.adjacency_auto(hc.Hypergraph(5, edges, weights=(1.0, weight)))
+        for A, prime in zip(step_down_tensors(), (1048571, 1048559)):
             assert A.kernel().prime == prime
             assert closure_basis(A, (1, 2, 4)).rank == exact_closure_rank(A, (1, 2, 4)) == 5
 
@@ -222,6 +234,68 @@ class TestPolarKernel:
         first, again = closure_basis(A, (1, 2)), closure_basis(A, (1, 2))
         assert np.array_equal(first.basis, again.basis)
         assert first.iterations == again.iterations > 0
+
+
+class TestKernelBuild:
+    """The array build gives the loop oracle's arrays, dtypes included."""
+
+    def assert_matches_loop(self, A):
+        got, want = _build_kernel(A), kernel_reference(A)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+                assert np.array_equal(a, b), field.name
+            else:
+                assert (type(a), a) == (type(b), b), field.name
+
+    def test_reference_grid(self):
+        for graph in REFERENCE_GRID.values():
+            self.assert_matches_loop(hc.adjacency_auto(graph))
+
+    @pytest.mark.parametrize("max_card", [2, 3, 4, 5, 6])
+    def test_mixed_cardinality(self, max_card):
+        for seed in range(6):
+            g = random_mixed_hypergraph(seed, 7, max_card)
+            weights = tuple(seeded_floats(seed, len(g.edges), lo=0.1, hi=3.0))
+            for graph in (g, hc.Hypergraph(g.n, g.edges, weights=weights)):
+                self.assert_matches_loop(hc.adjacency_auto(graph))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_empty_tensor(self, order):
+        self.assert_matches_loop(hc.AdjacencyTensor(order=order, dim=4, entries={}))
+
+    def test_single_twelve_node_edge(self):
+        self.assert_matches_loop(single_edge_tensor(12, range(1, 13)))
+
+    def test_prime_step_down(self):
+        for A in step_down_tensors():
+            self.assert_matches_loop(A)
+
+    def test_zero_coefficient(self):
+        A = hc.adjacency_auto(random_hypergraph(3, 7, 3, density=0.3))
+        self.assert_matches_loop(hc.AdjacencyTensor(3, 7, {**A.entries, (1, 1, 7): 0.0}))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [hc.random_uniform(30, 4, 0.05, 1), hc.Hypergraph(12, (tuple(range(1, 13)),))],
+        ids=["random-30-4", "edge-12"],
+    )
+    def test_peak_memory_no_higher_than_the_loop(self, graph):
+        A = hc.adjacency_auto(graph)
+
+        def peak(build):
+            build(A)  # once untraced, so no first-call cache counts
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                build(A)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(_build_kernel) <= peak(kernel_reference)
 
 
 @st.composite
