@@ -189,6 +189,9 @@ def cmd_bench(args) -> int:
     """Exact-versus-greedy CSV rows, both solved per component as ``mcn`` does."""
     n_lo, n_hi = args.n_range
     seeds = list(_parse_nodes(args.seeds, "--seeds")) or [0]
+    for n in (n_lo, n_hi):
+        # what the generators would refuse at either end, before the header
+        hg._check_subsets(n, args.k, args.density if args.family == "random" else 1.0)
     exact_solve = partial(mcn_exact, guard=args.guard)
     print("family,n,k,seed,exact_value,greedy_value,agree,exact_time_s,greedy_time_s")
     for n in range(n_lo, n_hi + 1):

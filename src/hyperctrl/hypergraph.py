@@ -30,8 +30,9 @@ _MASK64 = (1 << 64) - 1
 class Hypergraph:
     """Node count plus a duplicate-free list of hyperedges.
 
-    Edges are stored as sorted tuples; an optional positive weight per edge
-    is kept alongside. The value is immutable and hashable.
+    ``edges`` is read once, so it may be a generator. Edges are stored as
+    sorted tuples; an optional positive weight per edge is kept alongside.
+    The value is immutable and hashable.
     """
 
     n: int
@@ -122,31 +123,43 @@ def _check_nk(n: int, k: int):
 # Cap on the k-subsets of n nodes that one call enumerates: ``complete``,
 # ``random_uniform`` and ingest's tuple scoring all refuse more.
 MAX_TUPLES = 10**7
-# The generators also keep what they enumerate (``random_uniform`` all of it
-# at density 1), and those tuples may take at most this many bytes. Peak RSS
-# per k-subset, measured for k = 2..6 at about 10^6 subsets with CPython
-# 3.11 on x86-64, was 186-263 bytes for ``complete`` and 194-271 for
-# ``random_uniform``; ``_tuple_bytes`` bounds both. ``overlap_variant`` makes
-# new node ints per edge, 226-467 bytes at k = 2..6 (564 at k = 8) for 0.6 to
-# 1.4 million edges, and is held to 224 + 48 k. Ingest keeps only the tuples
-# above its threshold and is held to ``MAX_TUPLES`` alone.
+# The edges a generator keeps (``random_uniform``: all C(n, k), its density-1
+# case) may take this many bytes by the rule of ``_check_edge_bytes``. Peak RSS
+# measured in a fresh process (CPython 3.11, x86-64) for every generator at
+# k = 2..6 and 0.3 to 1.26 million edges was at most 40 bytes per node plus 152
+# (k = 2, 3), 172 (k = 4, 5) or 185 (k = 6) per edge. Ingest is held to
+# ``MAX_TUPLES`` alone.
 MAX_GENERATED_BYTES = 1 << 28
 
 
-def _tuple_bytes(k: int) -> int:
-    return 144 + 24 * k
-
-
-def _check_tuple_count(n: int, k: int, advice: str, kept: bool = False):
-    """Refuse C(n, k) above ``MAX_TUPLES`` or, for a caller that keeps every
-    tuple, above the count that fits ``MAX_GENERATED_BYTES``."""
+def _check_tuple_count(n: int, k: int, advice: str):
+    """Refuse to enumerate C(n, k) above ``MAX_TUPLES``."""
     total = math.comb(n, k)
-    cap, why = MAX_TUPLES, ""
-    if kept and MAX_GENERATED_BYTES // _tuple_bytes(k) < cap:
-        cap = MAX_GENERATED_BYTES // _tuple_bytes(k)
-        why = f" ({MAX_GENERATED_BYTES} bytes at {_tuple_bytes(k)} per tuple)"
-    if total > cap:
-        raise ValueError(f"C({n}, {k}) = {total} tuples exceeds the {cap} guard{why}; {advice}")
+    if total > MAX_TUPLES:
+        raise ValueError(f"C({n}, {k}) = {total} tuples exceeds the {MAX_TUPLES} guard; {advice}")
+
+
+def _check_edge_bytes(edges: int, n: int, k: int, what: str):
+    """Refuse edges of k nodes on n nodes past ``MAX_GENERATED_BYTES``, at
+    180 + 8 k bytes per edge (its tuple and its share of the duplicate
+    check) and 48 per node (the int objects every edge shares)."""
+    need = edges * (180 + 8 * k) + 48 * n
+    if need > MAX_GENERATED_BYTES:
+        raise ValueError(
+            f"{what} on {n} nodes take {need} bytes at {180 + 8 * k} per edge and "
+            f"48 per node, past the {MAX_GENERATED_BYTES} guard; use fewer nodes"
+        )
+
+
+def _check_subsets(n: int, k: int, density: float):
+    """Refuse, before any k-subset is listed, what ``random_uniform`` refuses;
+    ``complete`` is its density-1 case."""
+    _check_nk(n, k)
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
+    _check_tuple_count(n, k, "use fewer nodes")
+    total = math.comb(n, k)
+    _check_edge_bytes(total, n, k, f"C({n}, {k}) = {total} tuples")
 
 
 def hyperchain(n: int, k: int) -> Hypergraph:
@@ -166,20 +179,20 @@ def hyperstar(n: int, k: int) -> Hypergraph:
 
 def complete(n: int, k: int) -> Hypergraph:
     """All C(n, k) edges."""
-    _check_nk(n, k)
-    _check_tuple_count(n, k, "use fewer nodes", kept=True)
-    return Hypergraph(n=n, edges=tuple(itertools.combinations(range(1, n + 1), k)))
+    _check_subsets(n, k, 1.0)
+    return Hypergraph(n=n, edges=itertools.combinations(range(1, n + 1), k))
 
 
 def _tiles(n: int, k: int, r: int, family: str) -> bool:
     """Whether edges of k nodes advancing by k - r nodes tile n nodes.
 
     Chains and stars need (n - k) divisible by k - r. Rings need n divisible
-    by k - r (the cycle must close) and, below r = k-1, at least three edges.
+    by k - r (the cycle must close) and, below r = k-1, at least three edges
+    and n > k: on n = k nodes every window is the whole node set.
     """
     stride = k - r
     if family == "ring":
-        return n % stride == 0 and (r == k - 1 or n >= 3 * stride)
+        return n % stride == 0 and (r == k - 1 or n >= max(3 * stride, k + 1))
     return (n - k) % stride == 0
 
 
@@ -195,42 +208,30 @@ def overlap_variant(n: int, k: int, r: int, family: str) -> Hypergraph:
     if not 0 < r < k:
         raise ValueError(f"need 0 < r < k, got r={r}, k={k}")
     stride = k - r
-    edge_count = {"chain": (n - k) // stride + 1, "ring": n // stride, "star": (n - r) // stride}
-    if family not in edge_count:
+    starts = {
+        "chain": range(1, n - k + 2, stride),
+        # on n = k nodes every window of the plain ring is the one edge
+        "ring": range(1, n + 1 if n > k else 2, stride),
+        "star": range(r + 1, n - stride + 2, stride),
+    }
+    if family not in starts:
         raise ValueError(f"unknown family {family!r}")
     if not _tiles(n, k, r, family):
-        if family == "ring":
-            need, first = f"n divisible by {stride} with at least 3 edges", 3 * stride
-        else:
-            need, first = f"(n - k) divisible by {stride}", k
+        need = (f"n > k, divisible by {stride}, with at least 3 edges" if family == "ring"
+                else f"(n - k) divisible by {stride}")
+        first = next(m for m in itertools.count(k) if _tiles(m, k, r, family))
         examples = ", ".join(str(first + i * stride) for i in range(3))
         raise ValueError(
             f"no {r}-overlap {family} on n={n} nodes with k={k}: need {need}; "
             f"feasible n: {examples}, ..."
         )
-    size = 224 + 48 * k  # bytes per edge, see MAX_GENERATED_BYTES
-    if edge_count[family] > MAX_GENERATED_BYTES // size:
-        raise ValueError(
-            f"{edge_count[family]} edges exceeds the {MAX_GENERATED_BYTES // size} guard "
-            f"({MAX_GENERATED_BYTES} bytes at {size} per edge); use fewer nodes"
-        )
-    if family == "chain":
-        edges = [tuple(range(start, start + k)) for start in range(1, n - k + 2, stride)]
-    elif family == "ring":
-        edges = [
-            tuple(sorted((start + t) % n + 1 for t in range(k)))
-            for start in range(0, n, stride)
-        ]
-        if r == k - 1:
-            # n = k: every window is the whole node set
-            edges = list(dict.fromkeys(edges))
-    else:
-        core = tuple(range(1, r + 1))
-        edges = [
-            core + tuple(range(leaf, leaf + stride))
-            for leaf in range(r + 1, n - stride + 2, stride)
-        ]
-    return Hypergraph(n=n, edges=tuple(edges))
+    count = len(starts[family])
+    _check_edge_bytes(count, n, k, f"{count} edges")
+    nodes = list(range(n + 1))  # one int object per node, shared by every edge
+    if family == "ring":
+        nodes += nodes[1:k]  # a window past node n wraps around to node 1
+    core, width = (nodes[1:r + 1], stride) if family == "star" else ([], k)
+    return Hypergraph(n=n, edges=(core + nodes[s:s + width] for s in starts[family]))
 
 
 def _splitmix64(seed: int, counter: int) -> int:
@@ -246,17 +247,13 @@ def random_uniform(n: int, k: int, density: float, seed: int) -> Hypergraph:
     probability, driven by splitmix64 on (seed, edge index) so the same seed
     reproduces the same edges on any platform.
     """
-    _check_nk(n, k)
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must lie in [0, 1], got {density}")
-    _check_tuple_count(n, k, "use fewer nodes", kept=True)
+    _check_subsets(n, k, density)
     seed &= _MASK64
-    edges = []
-    for counter, edge in enumerate(itertools.combinations(range(1, n + 1), k)):
-        u = (_splitmix64(seed, counter) >> 11) / float(1 << 53)
-        if u < density:
-            edges.append(edge)
-    return Hypergraph(n=n, edges=tuple(edges))
+    subsets = itertools.combinations(range(1, n + 1), k)
+    return Hypergraph(n=n, edges=(
+        edge for counter, edge in enumerate(subsets)
+        if (_splitmix64(seed, counter) >> 11) / float(1 << 53) < density
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -91,11 +91,10 @@ def build_hypergraph(series: TimeSeriesMatrix, k: int, threshold: float) -> Hype
     if k < 2 or k > series.n:
         raise ValueError(f"need 2 <= k <= {series.n}, got k={k}")
     _check_tuple_count(series.n, k, "subsample the channels first")
-    edges = []
-    for nodes in itertools.combinations(range(1, series.n + 1), k):
-        if multi_correlation(series, nodes) > threshold:
-            edges.append(nodes)
-    return Hypergraph(n=series.n, edges=tuple(edges))
+    tuples = itertools.combinations(range(1, series.n + 1), k)
+    return Hypergraph(n=series.n, edges=(
+        nodes for nodes in tuples if multi_correlation(series, nodes) > threshold
+    ))
 
 
 def load_time_series_csv(path, has_header: bool = False) -> TimeSeriesMatrix:

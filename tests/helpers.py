@@ -12,7 +12,10 @@ production storage. ``ttv_multi`` (in floats) and ``contract_mod_p``
 patterns, with none of the production kernel. ``kernel_reference`` builds
 the kernel one pattern at a time, as the array build must match.
 ``REFERENCE_GRID`` is the named set of small graphs that several modules
-check against their oracles.
+check against their oracles. ``overlap_variant_reference``,
+``complete_reference`` and ``random_uniform_reference`` build each
+generator's edges into a list first, as the generators once did; the
+streaming generators must give the same edges and errors.
 """
 from __future__ import annotations
 
@@ -456,3 +459,67 @@ def reference_grid():
 
 
 REFERENCE_GRID = dict(reference_grid())
+
+
+def overlap_variant_reference(n: int, k: int, r: int, family: str) -> Hypergraph:
+    """Chain, ring or star with r shared nodes, built as a list of edges.
+
+    Raises what ``overlap_variant`` raises, except that its tiling message
+    stops at the parameters and it has no byte guard. A ring on n = k nodes
+    below r = k-1 repeats its one window, and ``Hypergraph`` refuses it.
+    """
+    if k < 2:
+        raise ValueError(f"edge cardinality must be >= 2, got k={k}")
+    if n < k:
+        raise ValueError(f"need n >= k, got n={n}, k={k}")
+    if not 0 < r < k:
+        raise ValueError(f"need 0 < r < k, got r={r}, k={k}")
+    if family not in ("chain", "ring", "star"):
+        raise ValueError(f"unknown family {family!r}")
+    stride = k - r
+    if family == "ring":
+        tiles = n % stride == 0 and (r == k - 1 or n >= 3 * stride)
+    else:
+        tiles = (n - k) % stride == 0
+    if not tiles:
+        raise ValueError(f"no {r}-overlap {family} on n={n} nodes with k={k}")
+    if family == "chain":
+        edges = [tuple(range(start, start + k)) for start in range(1, n - k + 2, stride)]
+    elif family == "ring":
+        edges = [
+            tuple(sorted((start + t) % n + 1 for t in range(k)))
+            for start in range(0, n, stride)
+        ]
+        if r == k - 1:
+            # n = k: every window is the whole node set
+            edges = list(dict.fromkeys(edges))
+    else:
+        core = tuple(range(1, r + 1))
+        edges = [
+            core + tuple(range(leaf, leaf + stride))
+            for leaf in range(r + 1, n - stride + 2, stride)
+        ]
+    return Hypergraph(n=n, edges=tuple(edges))
+
+
+def complete_reference(n: int, k: int) -> Hypergraph:
+    """All C(n, k) edges, listed before the hypergraph is built."""
+    return Hypergraph(n=n, edges=tuple(itertools.combinations(range(1, n + 1), k)))
+
+
+def random_uniform_reference(n: int, k: int, density: float, seed: int) -> Hypergraph:
+    """``random_uniform``'s edges kept in a list, with its parameter checks
+    and no size guard."""
+    if k < 2:
+        raise ValueError(f"edge cardinality must be >= 2, got k={k}")
+    if n < k:
+        raise ValueError(f"need n >= k, got n={n}, k={k}")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
+    seed &= (1 << 64) - 1
+    edges = []
+    for counter, edge in enumerate(itertools.combinations(range(1, n + 1), k)):
+        u = (_splitmix64(seed, counter) >> 11) / float(1 << 53)
+        if u < density:
+            edges.append(edge)
+    return Hypergraph(n=n, edges=tuple(edges))

@@ -523,7 +523,9 @@ class TestGenerate:
         # C(46, 6) = 9366819 is under the tuple cap but not the byte cap
         code, out, err = run(["generate", *argv], capsys)
         assert code == 2 and out == ""
-        assert err.startswith("error: C(46, 6) = 9366819 tuples exceeds the 932067 guard")
+        assert err.startswith(
+            "error: C(46, 6) = 9366819 tuples on 46 nodes take 2135636940 bytes at 228 per edge"
+        )
 
     @pytest.mark.parametrize(
         "argv, edges",
@@ -536,15 +538,18 @@ class TestGenerate:
         ids=["chain", "ring", "star", "r-ring"],
     )
     def test_edges_past_the_byte_cap_are_parameter_problem(self, capsys, monkeypatch, argv, edges):
-        # 10^8 nodes would take tens of GB; refused before any edge is built
+        # 10^8 nodes would take tens of GB; refused before the node ints or
+        # any edge are built
         def no_build(*args):
-            raise AssertionError("edges built")
+            raise AssertionError("nodes built")
 
-        monkeypatch.setattr(hg, "range", no_build, raising=False)
+        monkeypatch.setattr(hg, "list", no_build, raising=False)
         code, out, err = run(["generate", *argv, "--n", "100000000", "--k", "3"], capsys)
         assert code == 2 and out == ""
-        assert err.startswith(
-            f"error: {edges} edges exceeds the 729444 guard (268435456 bytes at 368 per edge)"
+        need = edges * 204 + 48 * 100000000
+        assert err == (
+            f"error: {edges} edges on 100000000 nodes take {need} bytes at 204 per edge "
+            "and 48 per node, past the 268435456 guard; use fewer nodes\n"
         )
 
 
@@ -573,6 +578,23 @@ class TestBench:
         # complete hypergraphs need n-1 controls
         assert fields[:7] == ["complete", "4", "3", "0", "3", "3", "True"]
         assert all(float(t) >= 0 for t in fields[7:])
+
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (["complete", "--k", "3", "--n-range", "2:3"], "need n >= k, got n=2, k=3"),
+            (["complete", "--k", "1", "--n-range", "2:3"], "edge cardinality must be >= 2"),
+            (["random", "--k", "3", "--n-range", "4:4", "--density", "2"], "density must lie"),
+            (["random", "--k", "3", "--n-range", "4:4", "--density", "-0.1"], "density must lie"),
+            (["complete", "--k", "6", "--n-range", "6:200"], "C(200, 6) = 82408626300 tuples"),
+        ],
+        ids=["n-below-k", "k-below-2", "density-above-1", "density-below-0", "tuple-cap"],
+    )
+    def test_parameter_error_writes_no_header(self, capsys, argv, detail):
+        # refused at either end of the range before any row, or the header
+        code, out, err = run(["bench", "--family", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and detail in err
 
 
     @pytest.mark.parametrize(

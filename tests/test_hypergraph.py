@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from hyperctrl import hypergraph
 from hyperctrl.hypergraph import from_json_dict, to_json_dict
 
 from helpers import (
+    complete_reference,
     dense_tensor,
     entry,
     membership_counts,
+    overlap_variant_reference,
     random_mixed_hypergraph,
+    random_uniform_reference,
     seeded_floats,
 )
 
@@ -86,8 +90,9 @@ class TestGenerators:
             hc.hyperring(3, 1)
         with pytest.raises(ValueError, match="unknown family 'bogus'"):
             hc.overlap_variant(7, 3, 1, "bogus")
-        # equal windows collapse only in the plain ring (r = k-1)
-        with pytest.raises(ValueError, match="duplicates"):
+        # equal windows collapse only in the plain ring (r = k-1); below it
+        # n = k is refused as a size, not as a duplicate edge
+        with pytest.raises(ValueError, match=r"^no 4-overlap ring on n=6 nodes with k=6: need n > k"):
             hc.overlap_variant(6, 6, 4, "ring")
 
 
@@ -112,10 +117,25 @@ class TestOverlapVariants:
         assert got == ((1, 2, 3, 4), (1, 5, 6, 7), (1, 8, 9, 10))
 
     def test_infeasible_sizes_report_feasible_n(self):
-        with pytest.raises(ValueError, match="feasible n"):
+        with pytest.raises(ValueError, match="feasible n: 4, 7, 10, ...$"):
             hc.overlap_variant(9, 4, 1, "chain")
-        with pytest.raises(ValueError, match="feasible n"):
+        with pytest.raises(ValueError, match="feasible n: 9, 12, 15, ...$"):
             hc.overlap_variant(8, 4, 1, "ring")
+        # 6 nodes hold three windows of 6, but each is the whole node set
+        with pytest.raises(ValueError, match="feasible n: 8, 10, 12, ...$"):
+            hc.overlap_variant(7, 6, 4, "ring")
+
+    @pytest.mark.parametrize("family", ["chain", "ring", "star"])
+    def test_every_suggested_size_is_feasible(self, family):
+        for k in range(2, 7):
+            for r in range(1, k):
+                for n in range(k, 40):
+                    try:
+                        hc.overlap_variant(n, k, r, family)
+                    except ValueError as exc:
+                        listed = str(exc).split("feasible n: ")[1].split(", ...")[0]
+                        for size in map(int, listed.split(", ")):
+                            hc.overlap_variant(size, k, r, family)
 
     def test_consecutive_overlap_property(self):
         for family in ("chain", "ring"):
@@ -138,6 +158,54 @@ class TestOverlapVariants:
                             assert len(inter) == r
                         else:
                             assert inter == set()
+
+
+class TestSameEdgesAsListBuilders:
+    """The streaming generators give the list-based builders' edges, in the
+    same order, or the same error. The one intended difference: a ring on
+    n = k nodes below r = k-1 is refused as a size, where the list builder
+    handed ``Hypergraph`` the same window several times."""
+
+    @staticmethod
+    def outcome(build, *args):
+        try:
+            return build(*args).edges
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("family", ["chain", "ring", "star", "bogus"])
+    def test_overlap_variant(self, family):
+        for k in range(1, 7):
+            for r in range(0, k + 1):
+                for n in range(1, 40):
+                    want = self.outcome(overlap_variant_reference, n, k, r, family)
+                    got = self.outcome(hc.overlap_variant, n, k, r, family)
+                    if isinstance(want, str) and "duplicates" in want:
+                        assert (family, n) == ("ring", k) and r < k - 1
+                        assert got.startswith(f"no {r}-overlap ring on n={n} nodes with k={k}: ")
+                    elif isinstance(want, str) and "-overlap" in want:
+                        assert got.startswith(want + ": need "), (family, n, k, r)
+                    else:
+                        assert got == want, (family, n, k, r)
+
+    def test_complete(self):
+        for k in range(1, 6):
+            for n in range(1, 12):
+                want = self.outcome(complete_reference, n, k)
+                got = self.outcome(hc.complete, n, k)
+                if n < k or k < 2:
+                    assert isinstance(got, str)
+                else:
+                    assert got == want, (n, k)
+
+    def test_random_uniform(self):
+        for seed in range(3):
+            for k in range(1, 6):
+                for n in range(1, 11):
+                    for density in (-0.5, 0.0, 0.3, 0.5, 1.0, 1.5):
+                        args = (n, k, density, seed + 2**64 - 1)
+                        want = self.outcome(random_uniform_reference, *args)
+                        assert self.outcome(hc.random_uniform, *args) == want, args
 
 
 class TestRandomUniform:
@@ -191,14 +259,17 @@ class TestTupleGuard:
 
         monkeypatch.setattr(hypergraph, "itertools", NoEnumeration)
         assert math.comb(46, 6) < hypergraph.MAX_TUPLES
-        with pytest.raises(ValueError, match=r"= 9366819 tuples exceeds the 932067 guard \("):
+        with pytest.raises(ValueError, match=(
+            r"^C\(46, 6\) = 9366819 tuples on 46 nodes take 2135636940 bytes at 228 per "
+            r"edge and 48 per node, past the 268435456 guard; use fewer nodes$"
+        )):
             build(46, 6)
 
     def test_byte_cap_admits_what_fits(self, monkeypatch, build):
-        # C(6, 3) = 20 tuples of _tuple_bytes(3) each
-        monkeypatch.setattr(hypergraph, "MAX_GENERATED_BYTES", 20 * hypergraph._tuple_bytes(3))
+        # C(6, 3) = 20 tuples of 180 + 8 * 3 bytes each, and 48 bytes a node
+        monkeypatch.setattr(hypergraph, "MAX_GENERATED_BYTES", 20 * 204 + 6 * 48)
         build(6, 3)
-        with pytest.raises(ValueError, match="= 35 tuples exceeds the 20 guard"):
+        with pytest.raises(ValueError, match=r"= 35 tuples on 7 nodes take 7476 bytes .* 4368 guard"):
             build(7, 3)
 
     def test_ingest_is_held_to_the_tuple_cap_alone(self, monkeypatch):
@@ -207,17 +278,95 @@ class TestTupleGuard:
         hc.build_hypergraph(series, 3, 0.5)
 
 
+class Built(Exception):
+    pass
+
+
+def no_edges(*args, **kwargs):
+    raise Built
+
+
+# each generator by a size index m: one more m is one more edge for the
+# chain, ring and star families and one more node for the k-subset ones
+GENERATORS = {
+    "chain": lambda m, k: hc.overlap_variant(k + m - 1, k, k - 1, "chain"),
+    "ring": lambda m, k: hc.overlap_variant(k + m, k, k - 1, "ring"),
+    "star": lambda m, k: hc.overlap_variant(k - 1 + m, k, k - 1, "star"),
+    "r-chain": lambda m, k: hc.overlap_variant(k + (m - 1) * (k - 1), k, 1, "chain"),
+    "r-ring": lambda m, k: hc.overlap_variant((m + 3) * (k - 1), k, 1, "ring"),
+    "r-star": lambda m, k: hc.overlap_variant(1 + m * (k - 1), k, 1, "star"),
+    "complete": lambda m, k: hc.complete(k + m, k),
+    "random": lambda m, k: hc.random_uniform(k + m, k, 1.0, m),
+}
+
+
 class TestEdgeGuard:
-    """The chain, ring and star builders refuse, before building any edge,
-    more edges than fit ``MAX_GENERATED_BYTES`` at 224 + 48 k bytes each."""
+    """Every generator refuses, before it builds any edge, edges that would
+    take more than ``MAX_GENERATED_BYTES`` at 180 + 8 k bytes each and 48
+    bytes a node, and what it accepts stays under that many bytes."""
 
     @pytest.mark.parametrize("family, n", [("chain", 6), ("ring", 4), ("star", 6)])
     def test_byte_cap_admits_what_fits(self, monkeypatch, family, n):
-        # four edges of 368 bytes each at k = 3
-        monkeypatch.setattr(hypergraph, "MAX_GENERATED_BYTES", 4 * 368)
+        # four edges of 204 bytes each at k = 3, and 48 bytes a node
+        cap = 4 * 204 + 48 * n
+        monkeypatch.setattr(hypergraph, "MAX_GENERATED_BYTES", cap)
         assert len(hc.overlap_variant(n, 3, 2, family).edges) == 4
-        with pytest.raises(ValueError, match=r"^5 edges exceeds the 4 guard \(1472 bytes at 368"):
+        need = 5 * 204 + 48 * (n + 1)
+        with pytest.raises(ValueError, match=(
+            rf"^5 edges on {n + 1} nodes take {need} bytes at 204 per edge and 48 per node, "
+            rf"past the {cap} guard; use fewer nodes$"
+        )):
             hc.overlap_variant(n + 1, 3, 2, family)
+
+    @pytest.mark.parametrize(
+        "family, n, edges", [("chain", 1065221, 1065219), ("ring", 1065220, 1065220),
+                             ("star", 1065221, 1065219)],
+    )
+    def test_default_cap_at_k3(self, monkeypatch, family, n, edges):
+        # edges at 204 bytes and n nodes at 48 fit 2^28 bytes, one edge more
+        # does not; the stub stops each call before the node ints are built
+        monkeypatch.setattr(hypergraph, "list", no_edges, raising=False)
+        with pytest.raises(Built):
+            hc.overlap_variant(n, 3, 2, family)
+        with pytest.raises(ValueError, match=rf"^{edges + 1} edges on {n + 1} nodes take "):
+            hc.overlap_variant(n + 1, 3, 2, family)
+
+    @pytest.mark.parametrize(
+        "family, k",
+        [(f, k) for f in GENERATORS for k in (2, 3, 4) if not (f.startswith("r-") and k == 2)],
+    )
+    def test_largest_accepted_size_stays_under_the_cap(self, monkeypatch, family, k):
+        monkeypatch.setattr(hypergraph, "MAX_GENERATED_BYTES", 1 << 22)
+
+        def accepted(m):
+            # the guard passed when the edges reach Hypergraph
+            with monkeypatch.context() as stub:
+                stub.setattr(hypergraph, "Hypergraph", no_edges)
+                try:
+                    GENERATORS[family](m, k)
+                except Built:
+                    return True
+                except ValueError as exc:
+                    assert "past the 4194304 guard" in str(exc)
+                    return False
+            raise AssertionError("neither built nor refused")
+
+        lo, hi = 1, 2
+        assert accepted(lo)
+        while accepted(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        # lo is the largest size accepted; lo + 1 was refused unbuilt
+        tracemalloc.start()
+        try:
+            graph = GENERATORS[family](lo, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(graph.edges) > 10000
+        assert peak <= hypergraph.MAX_GENERATED_BYTES, (len(graph.edges), peak)
 
 
 class TestAdjacencyUniform:
