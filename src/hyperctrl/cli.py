@@ -104,7 +104,8 @@ def _solve_by_component(graph: hg.Hypergraph, solve, counts: bool = False) -> di
     Every component is the whole tensor restricted to its nodes, so it keeps
     the graph's order k. Witnesses and rank traces are mapped back to the
     graph's labels. With ``counts`` each component also records its search:
-    the closures run, what each prune skipped, and the prime of its ranks.
+    the closures run, what each prune skipped, the prime of its ranks, its
+    lower bound, and whether the value meets it (``optimal``).
     """
     per_component = []
     total = 0
@@ -122,8 +123,13 @@ def _solve_by_component(graph: hg.Hypergraph, solve, counts: bool = False) -> di
                 [comp.nodes[j - 1], rank] for j, rank in result.rank_trace
             ]
         if counts:
-            search = {"closures": result.closures, "skipped": result.skipped}
-            entry["search"] = {**search, "prime": comp.tensor.kernel().prime}
+            entry["search"] = {
+                "closures": result.closures,
+                "skipped": result.skipped,
+                "prime": comp.tensor.kernel().prime,
+                "lower_bound": result.lower_bound,
+                "optimal": result.value == result.lower_bound,
+            }
         per_component.append(entry)
         total += result.value
         witness.extend(mapped_witness)

@@ -261,7 +261,8 @@ def random_uniform(n: int, k: int, density: float, seed: int) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 def to_json_dict(graph: Hypergraph) -> dict:
-    doc = {"n": graph.n, "edges": [list(e) for e in graph.edges]}
+    # json writes a tuple as an array, so the edges go out as they are
+    doc = {"n": graph.n, "edges": graph.edges}
     if graph.weights is not None:
         doc["weights"] = list(graph.weights)
     return doc

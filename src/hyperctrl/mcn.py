@@ -26,9 +26,11 @@ class MCNResult:
     set. Greedy results carry a ``rank_trace`` of (node added, rank after)
     pairs. ``closures`` counts the closures the search ran and ``skipped``
     what its prunes saved, by prune (greedy: ``early_stop`` and ``twins``
-    count candidates; exact: ``twins`` and ``symmetry`` count children,
-    ``bound`` the later siblings a failed completion bound cuts off);
-    neither takes part in equality, which compares answers.
+    count candidates; exact: ``twins`` counts children, ``bound`` the later
+    siblings a failed completion bound cuts off). ``lower_bound`` is a size
+    no full set is below (see ``_lower_bound``), so a value that meets it is
+    proved minimal. None of the three takes part in equality, which compares
+    answers.
     """
 
     value: int
@@ -36,6 +38,7 @@ class MCNResult:
     rank_trace: tuple | None = None
     closures: int = field(default=0, compare=False)
     skipped: dict = field(default_factory=dict, compare=False)
+    lower_bound: int = field(default=0, compare=False)
 
 
 class Component(NamedTuple):
@@ -101,105 +104,36 @@ def _lower_twins(classes: list[tuple]) -> dict:
     return {hi: lo for members in classes for lo, hi in zip(members, members[1:])}
 
 
-# Caps on the automorphism search of ``mcn_exact``: the elements kept and
-# the individualize-and-refine steps run. Past either, the search stops and
-# the prune uses the elements found so far, which is sound for any subset.
-_AUT_ELEMENTS = 128
-_AUT_STEPS = 4000
+def _lower_bound(tensor: AdjacencyTensor, classes: list[tuple]) -> int:
+    """A size below which no control set of the tensor is full: the largest
+    of three rules, read from the stored patterns and the tensor's twin
+    classes ``classes`` (see ``_twin_classes``).
 
+    - Twins: the sum of |class| - 1. If S misses two twins i and j, the
+      subspace {x_i = x_j} holds every e_s, and T maps it into itself: the
+      swap of i and j commutes with T and fixes each vector of it. So the
+      closure of S lies in it, and a full S misses at most one node a class.
+    - Supports: n less the number of distinct pattern supports (the set of
+      a pattern's nodes) of two or more nodes. Let R be the support closure
+      of S, the least superset of S that takes in node i whenever a pattern
+      holding i has the rest, as a multiset, inside R. The vectors that are
+      zero off R hold every e_s, and T maps them into themselves, so a full
+      S has R = V. A pattern forces i only when i is in it once and every
+      other node of its support is in R already; then its whole support is
+      in R, so each support forces at most one node.
+    - Smallest support: min(n, m - 1), where m is the fewest nodes in a
+      support of two or more (n + 1 when there is none). A smaller S forces
+      nothing, so R = S, which is not V.
 
-def _refine(incidence: list, colour: list) -> list:
-    """The coarsest equitable refinement of a node colouring (0-based, any
-    comparable values), by the tensor's ``incidence``.
-
-    A node's signature is its colour and the sorted (coefficient, sorted
-    colours of the pattern less one copy of the node) over its patterns;
-    nodes split by signature until no colour splits. Each colour is named by
-    the rank of its signature, so relabelling the nodes permutes the result
-    and renames nothing.
-    """
-    cells = len(set(colour))
-    while True:
-        signature = [
-            (c, tuple(sorted(
-                (coef, tuple(sorted([colour[u - 1] for u in rest]))) for rest, coef, _ in row
-            )))
-            for c, row in zip(colour, incidence)
-        ]
-        rank = {sig: r for r, sig in enumerate(sorted(set(signature)))}
-        colour = [rank[sig] for sig in signature]
-        # a colouring with one node per colour splits no further
-        if len(rank) in (cells, len(colour)):
-            return colour
-        cells = len(rank)
-
-
-def _automorphisms(tensor: AdjacencyTensor, classes: list[tuple]) -> np.ndarray:
-    """The tensor's class-monotone automorphisms as inverse images: row r
-    holds sigma_r^-1(i) in column i - 1, in 1-based node labels. The
-    identity is one of the rows.
-
-    With ``classes`` from ``_twin_classes``, sigma is class-monotone when it
-    maps every stored pattern onto a stored pattern with the same
-    coefficient, and each twin class onto a twin class of the same size,
-    i-th member to i-th member. Any automorphism followed by twin swaps is
-    one of these, so they stand for the whole group modulo twins.
-
-    Individualization-refinement (McKay & Piperno, J. Symb. Comput. 60,
-    2014): colour each node by (class size, place in class) and ``_refine``.
-    While a colour holds more than one node, individualize the first node of
-    the first such colour and refine, depth first; the other nodes of that
-    colour are tried after it. The first path ends in a discrete colouring,
-    the leaf every other leaf is compared with; a child is kept only when its
-    sorted colouring equals the first path's at its depth, as an
-    automorphism's image must. The map from the first leaf to another, node
-    to node of the same colour, is kept when it sends every stored pattern to
-    one with the same coefficient. Each automorphism is the map to exactly
-    one leaf. The search keeps at most ``_AUT_ELEMENTS`` elements and runs
-    at most ``_AUT_STEPS`` individualize-and-refine steps.
+    Each argument holds over any field, so for ranks over GF(p) too.
     """
     n = tensor.dim
-    entries = tensor.entries
-    incidence = tensor.incidence()
-    start = [()] * n
-    for members in classes:
-        for place, v in enumerate(members):
-            start[v - 1] = (len(members), place)
-    shapes: list[list] = []  # the first path's sorted colourings, by depth
-    first: list[int] = []    # the node of each colour at the first leaf
-    found: list[list] = []
-    steps = 0
-    # (colouring, depth, node to individualize or -1): an explicit stack, so
-    # that no recursion limit bounds the depth
-    pending = [(start, 0, -1)]
-    while pending and len(found) < _AUT_ELEMENTS:
-        colour, depth, chosen = pending.pop()
-        if chosen >= 0:
-            if steps == _AUT_STEPS:
-                break
-            steps += 1
-            colour = [(c, v == chosen) for v, c in enumerate(colour)]
-        colour = _refine(incidence, colour)
-        shape = sorted(colour)
-        if depth == len(shapes):
-            shapes.append(shape)
-        elif shape != shapes[depth]:
-            continue
-        if shape[-1] < n - 1:
-            # not discrete: try each node of the first colour with two or more
-            target = next(c for c, d in zip(shape, shape[1:]) if c == d)
-            cell = [v for v, c in enumerate(colour) if c == target]
-            pending.extend((colour, depth + 1, v) for v in reversed(cell))
-            continue
-        if not first:
-            first = sorted(range(1, n + 1), key=lambda v: colour[v - 1])
-        inverse = [first[c] for c in colour]
-        if all(
-            entries.get(tuple(sorted(inverse[v - 1] for v in pattern))) == coef
-            for pattern, coef in entries.items()
-        ):
-            found.append(inverse)
-    return np.array(found, dtype=np.intp).reshape(-1, n)
+    sizes = [m for m in map(len, {frozenset(p) for p in tensor.entries}) if m > 1]
+    return max(
+        sum(len(members) - 1 for members in classes),
+        n - len(sizes),
+        min(n, min(sizes, default=n + 1) - 1),
+    )
 
 
 def connected_components(tensor: AdjacencyTensor) -> list[Component]:
@@ -254,20 +188,13 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
     only at sets within it, so the bound shrinks as smaller sets turn up.
     Restricted to one size, the walk's order is lexicographic order, so the
     first full set of the minimum size that it meets is the first one of that
-    size in lexicographic order. A child P + j is skipped when
+    size in lexicographic order. The walk stops at a full set whose size
+    meets ``_lower_bound``: no full set is smaller, so it is that first one.
+    A child P + j is skipped when
 
     - j has a lower twin (see ``_twin_classes``) that P lacks: swapping the
       two maps every set below the child onto a lexicographically smaller
       one of the same size and rank;
-    - an automorphism sigma (see ``_automorphisms``: found once per call by
-      individualization and colour refinement, with capped elements and
-      steps) maps every set below the child onto a lexicographically
-      smaller one.
-      The child's indicator x is decided on 1..j, and that of its image,
-      y_i = x[sigma^-1(i)], where sigma^-1(i) <= j. If the first i <= j at
-      which y is undecided or differs from x is decided with y_i = 1 and
-      x_i = 0, every set S below the child and sigma(S) agree before i, and
-      only sigma(S) holds i. All sigma are checked at once;
     - e_j already lies in closure(P) (the child's rank equals P's): every set
       below the child has the closure of the same set without j, one node
       smaller, so none is a minimum.
@@ -279,14 +206,12 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
     sibling is either: P's loop over its children ends there. A child at the
     size bound has no children to look at, and its bound is not computed.
 
-    No rule drops a prefix of the lexicographically first minimum set W. An
-    automorphism maps W onto a full set of the same size, so W is the least
-    set of its orbit: it holds the lower twin of each of its members, and
-    the symmetry rule, which fires only when every set below the child has
-    a smaller image, never fires on a prefix of W, with the whole group or
-    any part of it. Each of W's nodes raises the rank (or W less that node
-    would be full), and each of its prefixes' bounds holds closure(W). So
-    the witness is the one the plain enumeration by size finds.
+    No rule drops a prefix of the lexicographically first minimum set W. W
+    holds the lower twin of each of its members, or the swap of the two
+    would map it onto a smaller full set of its size. Each of W's nodes
+    raises the rank (or W less that node would be full), and each of its
+    prefixes' bounds holds closure(W). So the witness is the one the plain
+    enumeration by size finds.
 
     A one-node tensor is answered by its node with no search: e_1 spans the
     whole space.
@@ -303,29 +228,15 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
             "raise the guard explicitly or use mcn_greedy"
         )
     if n == 1:
-        return MCNResult(1, (1,), skipped={"twins": 0, "symmetry": 0, "bound": 0})
+        return MCNResult(1, (1,), skipped={"twins": 0, "bound": 0}, lower_bound=1)
     classes = _twin_classes(tensor)
     lower_twin = _lower_twins(classes)
-    group = _automorphisms(tensor, classes)
-    group = group[(group != np.arange(1, n + 1)).any(axis=1)]
-    rows = np.arange(len(group))
-    counts = {"closures": 0, "twins": 0, "symmetry": 0, "bound": 0}
+    lower = _lower_bound(tensor, classes)
+    counts = {"closures": 0, "twins": 0, "bound": 0}
     best: tuple = ()
-    # the largest set size still worth a look, one under the smallest full set
+    # the largest set size still worth a look, one under the smallest full
+    # set; 0 once a full set meets the lower bound
     limit = n
-
-    def mapped_earlier(child: tuple) -> bool:
-        # x is the child's indicator, decided on 1..j; y = x o sigma^-1 is
-        # its image's, decided where sigma^-1(i) <= j
-        j = child[-1]
-        x = np.zeros(n + 1, dtype=bool)
-        x[list(child)] = True
-        inverse = group[:, :j]
-        decided = inverse <= j
-        y = x[inverse]
-        stop = ~decided | (y != x[1 : j + 1])
-        first = stop.argmax(axis=1)
-        return bool((stop & decided & y)[rows, first].any())
 
     def walk(prefix: tuple, basis: np.ndarray) -> None:
         nonlocal best, limit
@@ -336,16 +247,13 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
             if j in lower_twin and lower_twin[j] not in prefix:
                 counts["twins"] += 1
                 continue
-            child = prefix + (j,)
-            if len(group) and mapped_earlier(child):
-                counts["symmetry"] += 1
-                continue
             counts["closures"] += 1
             res = closure_basis(tensor, (j,), closed=basis)
             if res.rank == basis.shape[1]:
                 continue
+            child = prefix + (j,)
             if res.rank == n:
-                best, limit = child, size - 1
+                best, limit = child, size - 1 if size > lower else 0
                 continue
             if size == limit:
                 continue
@@ -363,6 +271,7 @@ def mcn_exact(tensor: AdjacencyTensor, guard: int = 20) -> MCNResult:
         witness=best,
         closures=counts.pop("closures"),
         skipped=counts,
+        lower_bound=lower,
     )
 
 
@@ -387,7 +296,8 @@ def mcn_greedy(tensor: AdjacencyTensor) -> MCNResult:
       later candidate has a larger gain, and an equal one loses the tie.
 
     A one-node tensor is answered by its node with no search, as in
-    ``mcn_exact``.
+    ``mcn_exact``. The result's ``lower_bound`` is read from the twin
+    classes the prune already has; greedy does not stop at it.
 
     Raises:
         ValueError: no candidate raises the rank; a guard, since in exact
@@ -395,10 +305,13 @@ def mcn_greedy(tensor: AdjacencyTensor) -> MCNResult:
     """
     n = tensor.dim
     if n == 1:
-        return MCNResult(1, (1,), ((1, 1),), skipped={"early_stop": 0, "twins": 0})
+        return MCNResult(
+            1, (1,), ((1, 1),), skipped={"early_stop": 0, "twins": 0}, lower_bound=1
+        )
     # unchosen candidates, highest degree first; the stable sort keeps index order on ties
     order = (np.argsort(-degrees(tensor), kind="stable") + 1).tolist()
-    lower_twin = _lower_twins(_twin_classes(tensor))
+    classes = _twin_classes(tensor)
+    lower_twin = _lower_twins(classes)
     chosen: set = set()
     basis = np.zeros((n, 0))
     trace: list[tuple] = []
@@ -428,6 +341,7 @@ def mcn_greedy(tensor: AdjacencyTensor) -> MCNResult:
         rank_trace=tuple(trace),
         closures=counts.pop("closures"),
         skipped=counts,
+        lower_bound=_lower_bound(tensor, classes),
     )
 
 

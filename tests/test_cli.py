@@ -292,7 +292,7 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "method, skipped",
-        [("greedy", {"early_stop": 1, "twins": 9}), ("exact", {"twins": 11, "symmetry": 0, "bound": 3})],
+        [("greedy", {"early_stop": 1, "twins": 9}), ("exact", {"twins": 5, "bound": 0})],
     )
     def test_search_counts_per_component(self, tmp_path, capsys, method, skipped):
         # star(6,3) beside a lone pair edge: two components
@@ -305,14 +305,29 @@ class TestReport:
         search = components[0]["search"]
         assert search["skipped"] == skipped
         assert search["closures"] > 0
+        # four twin leaves: no set of under four nodes is full, and both
+        # searches find four
+        assert [c["search"]["lower_bound"] for c in components] == [4, 1]
+        assert all(c["search"]["optimal"] for c in components)
         # without --report the output carries no counts
         code, out, _ = run(["mcn", path, "--method", method], capsys)
         assert code == 0
         assert all("search" not in c for c in json.loads(out)["components"])
 
+    @pytest.mark.parametrize("method", ["greedy", "exact"])
+    def test_loose_bound_is_not_optimal(self, tmp_path, capsys, method):
+        # the 10-cycle: its adjacency has eigenvalues of multiplicity 2, so
+        # one node never suffices, but no rule of the bound sees past 1
+        path = write_graph(tmp_path, hg.to_json_dict(hg.hyperring(10, 2)))
+        code, out, _ = run(["mcn", path, "--method", method, "--report"], capsys)
+        assert code == 0
+        (comp,) = json.loads(out)["result"]["components"]
+        assert comp["value"] == 2
+        assert (comp["search"]["lower_bound"], comp["search"]["optimal"]) == (1, False)
+
     @pytest.mark.parametrize(
         "method, skipped",
-        [("greedy", {"early_stop": 0, "twins": 0}), ("exact", {"twins": 0, "symmetry": 0, "bound": 0})],
+        [("greedy", {"early_stop": 0, "twins": 0}), ("exact", {"twins": 0, "bound": 0})],
     )
     def test_one_node_components_run_no_closure(self, tmp_path, capsys, method, skipped):
         path = write_graph(tmp_path, {"n": 5, "edges": [[1, 2]]})
@@ -324,7 +339,10 @@ class TestReport:
         assert pair["search"]["closures"] > 0
         for j, comp in zip((3, 4, 5), singles):
             assert (comp["nodes"], comp["value"], comp["witness"]) == ([j], 1, [j])
-            assert comp["search"] == {"closures": 0, "skipped": skipped, "prime": 1048573}
+            assert comp["search"] == {
+                "closures": 0, "skipped": skipped, "prime": 1048573,
+                "lower_bound": 1, "optimal": True,
+            }
             if method == "greedy":
                 assert comp["rank_trace"] == [[j, 1]]
 
@@ -478,7 +496,7 @@ class TestGenerate:
         assert code == 0 and err == ""
         doc = json.loads(out)
         assert sorted(doc) == ["edges", "n"]
-        assert doc == hg.to_json_dict(want)
+        assert doc == json.loads(json.dumps(hg.to_json_dict(want)))
         assert all(e == sorted(e) for e in doc["edges"])
 
     @pytest.mark.parametrize(

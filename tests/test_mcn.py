@@ -12,8 +12,7 @@ import hyperctrl as hc
 from hyperctrl import mcn as mcn_mod
 from hyperctrl.mcn import (
     ExactSearchGuardError,
-    _automorphisms,
-    _refine,
+    _lower_bound,
     _twin_classes,
     mcn_predicted,
 )
@@ -86,10 +85,11 @@ class TestExact:
         # closure plus its completion bound. All four nodes are twins, so a
         # child must hold its lower twins and the walk is one chain: (1) with
         # its bound, (1, 2) with its bound, then (1, 2, 3), which is full and
-        # sets the size bound to 2, so (1, 2) looks at no later child; the
-        # five other children the walk looks at lack a lower twin
+        # meets the lower bound of 3 (one twin class of four), so the walk
+        # stops there and looks at no other child
         assert len(calls) == res.closures == 2 + 2 + 1
-        assert res.skipped == {"twins": 5, "symmetry": 0, "bound": 0}
+        assert res.skipped == {"twins": 0, "bound": 0}
+        assert res.lower_bound == 3
         assert (res.value, res.witness) == (3, (1, 2, 3))
         assert hc.verdict(auto(hc.complete(4, 4)), hc.ControlMatrix(res.witness)).full
 
@@ -102,6 +102,11 @@ SYMMETRIC = {
     "r-ring-14-3-1": hc.overlap_variant(14, 3, 1, "ring"),
     "cycle-10": hc.hyperring(10, 2),
 }
+
+# the 20-node k = 2 circulant that joins node i to i + 3, i + 4 and i + 8
+CIRCULANT = hc.Hypergraph(20, tuple(sorted(
+    tuple(sorted((i + 1, (i + d) % 20 + 1))) for i in range(20) for d in (3, 4, 8)
+)))
 
 
 class TestExactMatchesReference:
@@ -118,25 +123,38 @@ class TestExactMatchesReference:
     @pytest.mark.parametrize(
         "graph, witness, closures, skipped",
         [
-            (hc.overlap_variant(12, 3, 1, "ring"), (1, 2, 4, 6, 8, 10), 136, {"twins": 0, "symmetry": 50, "bound": 48}),
-            (hc.hyperstar(12, 3), (1, *range(3, 12)), 40, {"twins": 89, "symmetry": 0, "bound": 9}),
+            (hc.overlap_variant(12, 3, 1, "ring"), (1, 2, 4, 6, 8, 10), 15, {"twins": 0, "bound": 0}),
+            (hc.hyperstar(12, 3), (1, *range(3, 12)), 38, {"twins": 44, "bound": 0}),
         ],
         ids=["r-ring-12-3-1", "star-12-3"],
     )
     def test_closure_counts(self, graph, witness, closures, skipped):
         # one walk per subset size ran 1500 and 198 closures on these inputs;
-        # without the symmetry prune, the one walk ran 704 on the ring
+        # walking on past the first set that meets the lower bound, with an
+        # automorphism prune, ran 136 and 40
         got = hc.mcn_exact(auto(graph))
         assert (got.value, got.witness) == (len(witness), witness)
         assert (got.closures, got.skipped) == (closures, skipped)
+        assert got.lower_bound == len(witness)
 
     @pytest.mark.parametrize("name", list(SYMMETRIC))
     def test_symmetric_families(self, name):
-        # inputs whose automorphism group modulo twins is not trivial
+        # inputs whose automorphism group modulo twins is not trivial: the
+        # walk stops at the lower bound or searches on, and never needs the
+        # group to find the first minimum
         A = auto(SYMMETRIC[name])
         got = hc.mcn_exact(A)
         assert got == exact_mcn_reference(A)
-        assert got.skipped["symmetry"] > 0
+        assert got.lower_bound <= got.value
+
+    def test_circulant_exact_mcn(self):
+        # dihedral with 40 elements; the lower bound is 1 against a value of
+        # 2, so after (1, 2) the walk closes every other single node to show
+        # that none is full. With a search over the group it ran 3 closures
+        A = auto(CIRCULANT)
+        got = hc.mcn_exact(A)
+        assert got == exact_mcn_reference(A)
+        assert (got.value, got.witness, got.closures, got.lower_bound) == (2, (1, 2), 22, 1)
 
     def test_noise_column_is_no_witness(self):
         # closure({1, 6, 7}) has exact rank 7 of 8; a rounding-noise column
@@ -208,154 +226,72 @@ class TestTwinClasses:
         assert with_twins >= 10
 
 
-# the 20-node k = 2 circulant that joins node i to i + 3, i + 4 and i + 8
-CIRCULANT = hc.Hypergraph(20, tuple(sorted(
-    tuple(sorted((i + 1, (i + d) % 20 + 1))) for i in range(20) for d in (3, 4, 8)
-)))
-
-
-def permutation_group_order(tensor):
-    """The number of node permutations that map every stored pattern onto a
-    stored pattern with the same coefficient, by trying each one."""
-    entries = tensor.entries
-    order = 0
-    for perm in itertools.permutations(range(1, tensor.dim + 1)):
-        order += all(
-            entries.get(tuple(sorted(perm[v - 1] for v in p))) == c for p, c in entries.items()
-        )
-    return order
-
-
-class TestAutomorphisms:
-    GRAPHS = {
-        "r-ring-12-3-1": hc.overlap_variant(12, 3, 1, "ring"),
-        "ring-12-3": hc.hyperring(12, 3),
-        "ring-14-4": hc.hyperring(14, 4),
-        "cycle-10": hc.hyperring(10, 2),
-        "star-12-3": hc.hyperstar(12, 3),
-        "complete-6-3": hc.complete(6, 3),
-        # the weights tell every edge of the ring apart
-        "weighted-ring-12-3": hc.Hypergraph(
-            12, hc.hyperring(12, 3).edges, weights=tuple(float(w) for w in range(1, 13))
-        ),
-        "circulant-20": CIRCULANT,
+def bound_rules(tensor):
+    """The three rules of ``_lower_bound`` from their statements: twins by
+    swapping every pair, supports by listing each pattern's distinct nodes."""
+    n = tensor.dim
+    wide = {tuple(sorted(set(p))) for p in tensor.entries} - {(j,) for j in range(1, n + 1)}
+    return {
+        "twins": sum(len(c) - 1 for c in swap_twins(tensor)),
+        "supports": n - len(wide),
+        "smallest support": min([n] + [len(s) - 1 for s in wide]),
     }
 
+
+class TestLowerBound:
+    """No full control set is smaller than ``_lower_bound``."""
+
+    def test_below_the_reference_per_component(self):
+        loose = set()
+        for name, g in REFERENCE_GRID.items():
+            for comp in hc.connected_components(auto(g)):
+                A = comp.tensor
+                bound = _lower_bound(A, _twin_classes(A))
+                want = exact_mcn_reference(A).value
+                assert bound <= want, name
+                if bound < want:
+                    loose.add(name)
+        # tight on every other component, 100 of 102
+        assert loose <= {"mixed-4", "r-ring-10-4-2"}
+
+    @pytest.mark.parametrize("seed", range(1, 41))
+    def test_below_the_reference_on_mixed_graphs(self, seed):
+        for comp in hc.connected_components(auto(random_mixed_hypergraph(seed, 7, 4))):
+            A = comp.tensor
+            assert _lower_bound(A, _twin_classes(A)) <= exact_mcn_reference(A).value
+
     @pytest.mark.parametrize(
-        "name, order",
+        "graph, rule, value",
         [
-            ("r-ring-12-3-1", 12),
-            ("ring-12-3", 24),
-            ("ring-14-4", 28),
-            ("cycle-10", 20),
-            # every automorphism of these is a product of twin swaps
-            ("star-12-3", 1),
-            ("complete-6-3", 1),
-            ("weighted-ring-12-3", 1),
-            # dihedral; co-occurrence counts alone tell few of its nodes apart
-            ("circulant-20", 40),
+            (hc.hyperstar(12, 3), "twins", 10),
+            (hc.overlap_variant(12, 3, 1, "ring"), "supports", 6),
+            (hc.hyperring(12, 4), "smallest support", 3),
         ],
+        ids=["star-12-3", "r-ring-12-3-1", "ring-12-4"],
     )
-    def test_group_orders(self, name, order):
-        A = auto(self.GRAPHS[name])
-        group = _automorphisms(A, _twin_classes(A))
-        assert group.shape == (order, A.dim)
-        assert len({tuple(row) for row in group.tolist()}) == order
-        assert list(range(1, A.dim + 1)) in group.tolist()
-
-    def test_every_element_is_class_monotone(self):
-        graphs = list(self.GRAPHS.values())
-        graphs += [hc.overlap_variant(12, 4, 2, "ring"), hc.overlap_variant(13, 3, 1, "star")]
-        graphs += [hc.hyperchain(9, 3), hc.hyperstar(8, 3)]
-        graphs += [random_mixed_hypergraph(seed, 7, 3) for seed in range(1, 6)]
-        for g in graphs:
-            A = auto(g)
-            classes = _twin_classes(A)
-            n = A.dim
-            group = _automorphisms(A, classes)
-            assert len(group) >= 1
-            for inverse in group.tolist():
-                assert sorted(inverse) == list(range(1, n + 1))
-                sigma = {v: i for i, v in enumerate(inverse, start=1)}
-                for p, c in A.entries.items():
-                    assert A.entries.get(tuple(sorted(sigma[v] for v in p))) == c
-                targets = {members[0]: members for members in classes}
-                for members in classes:
-                    image = targets.get(sigma[members[0]])
-                    assert image is not None and len(image) == len(members)
-                    assert [sigma[v] for v in members] == list(image)
-
-    def test_group_times_twin_swaps_is_every_automorphism(self):
-        # monotone elements times the permutations inside each twin class
-        graphs = [hc.hyperring(7, 3), hc.hyperstar(7, 3), hc.hyperchain(7, 2)]
-        graphs += [hc.random_uniform(7, 3, 0.15, seed) for seed in range(1, 4)]
-        graphs += [random_mixed_hypergraph(seed, 7, 3) for seed in range(1, 4)]
-        for g in graphs:
-            A = auto(g)
-            classes = _twin_classes(A)
-            swaps = math.prod(math.factorial(len(c)) for c in classes)
-            assert len(_automorphisms(A, classes)) * swaps == permutation_group_order(A), g
-
-    def test_circulant_exact_mcn(self):
-        # a backtrack capped at 6 of the 40 elements ran 18 closures here
-        A = auto(CIRCULANT)
+    def test_each_rule_binds_alone(self, graph, rule, value):
+        A = auto(graph)
+        rules = bound_rules(A)
+        assert rules.pop(rule) == value == _lower_bound(A, _twin_classes(A))
+        assert max(rules.values()) < value
         got = hc.mcn_exact(A)
-        assert got == exact_mcn_reference(A)
-        assert (got.value, got.witness, got.closures) == (2, (1, 2), 3)
+        assert (got.value, got.lower_bound) == (value, value)
 
-    @pytest.mark.parametrize("elements, steps", [(2, 4000), (128, 0), (1, 1)])
-    def test_capped_search_keeps_the_witness(self, monkeypatch, elements, steps):
-        # pruning by any subset of the group is sound
-        monkeypatch.setattr(mcn_mod, "_AUT_ELEMENTS", elements)
-        monkeypatch.setattr(mcn_mod, "_AUT_STEPS", steps)
-        A = auto(self.GRAPHS["r-ring-12-3-1"])
-        assert len(_automorphisms(A, _twin_classes(A))) <= min(elements, steps)
-        got = hc.mcn_exact(A)
-        assert (got.value, got.witness) == (6, (1, 2, 4, 6, 8, 10))
-        assert 136 <= got.closures <= 704
-
-
-class TestRefine:
-    GRAPHS = [
-        *TestAutomorphisms.GRAPHS.values(),
-        hc.hyperstar(8, 3),
-        hc.overlap_variant(12, 4, 2, "ring"),
-        *(hc.random_uniform(8, 3, 0.2, seed) for seed in range(1, 6)),
-        *(random_mixed_hypergraph(seed, 7, 3) for seed in range(1, 6)),
-    ]
-
-    def test_twins_and_orbits_share_a_colour(self):
-        for g in self.GRAPHS:
-            A = auto(g)
-            colour = _refine(A.incidence(), [0] * A.dim)
-            classes = _twin_classes(A)
-            for members in classes:
-                assert len({colour[v - 1] for v in members}) == 1, g
-            for inverse in _automorphisms(A, classes).tolist():
-                assert [colour[v - 1] for v in inverse] == colour, g
-
-    @pytest.mark.parametrize("seed", range(1, 6))
-    def test_relabelling_permutes_the_colouring(self, seed):
-        rng = random.Random(seed)
-        for g in self.GRAPHS:
-            A = auto(g)
-            n = A.dim
-            label = list(range(1, n + 1))
-            rng.shuffle(label)
-            B = hc.AdjacencyTensor(A.order, n, {
-                tuple(sorted(label[v - 1] for v in p)): c for p, c in A.entries.items()
-            })
-            # uniform, and with one node individualized
-            start = [0] * n
-            for marked in (None, rng.randrange(n)):
-                if marked is not None:
-                    start[marked] = 1
-                moved = [0] * n
-                for v in range(n):
-                    moved[label[v] - 1] = start[v]
-                want = _refine(A.incidence(), start)
-                got = _refine(B.incidence(), moved)
-                assert [got[label[v] - 1] for v in range(n)] == want, g
+    @pytest.mark.parametrize(
+        "build, family, n, k",
+        [
+            (hc.hyperstar, "star", 200, 3),
+            (hc.complete, "complete", 30, 3),
+            (hc.hyperchain, "chain", 200, 3),
+            (hc.hyperring, "ring", 200, 4),
+        ],
+        ids=["star-200-3", "complete-30-3", "chain-200-3", "ring-200-4"],
+    )
+    def test_closed_forms_past_the_guard(self, build, family, n, k):
+        # twins prove the star and the complete graph, the smallest
+        # support the chain and the ring
+        A = auto(build(n, k))
+        assert _lower_bound(A, _twin_classes(A)) == mcn_predicted(family, n, k)
 
 
 def greedy_grid():
@@ -399,6 +335,8 @@ class TestGreedyMatchesReference:
         got = hc.mcn_greedy(A)
         want = greedy_reference(A)
         assert (got.witness, got.rank_trace) == (want.witness, want.rank_trace)
+        # no control set, greedy's included, is below the lower bound
+        assert got.lower_bound <= got.value
 
     @pytest.mark.parametrize(
         "graph, closures, twins",
@@ -626,7 +564,7 @@ class TestOneNode:
         "search, reference, skipped",
         [
             (hc.mcn_greedy, greedy_reference, {"early_stop": 0, "twins": 0}),
-            (hc.mcn_exact, exact_mcn_reference, {"twins": 0, "symmetry": 0, "bound": 0}),
+            (hc.mcn_exact, exact_mcn_reference, {"twins": 0, "bound": 0}),
         ],
         ids=["greedy", "exact"],
     )
@@ -638,6 +576,7 @@ class TestOneNode:
         got = search(A)
         assert A._kernel is None and A._incidence is None
         assert (got.value, got.witness, got.closures, got.skipped) == (1, (1,), 0, skipped)
+        assert got.lower_bound == 1
         assert got == reference(hc.AdjacencyTensor(3, 1, entries))
 
     def test_exact_guard_still_applies(self):
